@@ -44,6 +44,7 @@ v_0 is supported on a and b alone.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -477,13 +478,15 @@ def min_over_symmetries_v0(m: int, workers: int = 1) -> CertificateReport:
     all 2^n symmetries, since the norm depends on s only through the counts
     and the c/d signs are irrelevant.  Ties resolve to the lexicographically
     smallest (alpha, beta).  With workers > 1 the alpha range is partitioned
-    across processes; the min-reduce is associative, so the report is
-    independent of the partitioning.
+    into at most min(workers, os.cpu_count()) chunks, one process each; the
+    min-reduce is associative, so the report is independent of the
+    partitioning.
     """
     _check_m(m)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     n_alpha = m * m + 1
+    workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or n_alpha < 2 * workers:
         best = _lattice_min(m, 0, n_alpha)
     else:

@@ -4,9 +4,10 @@ symmetries, and the symmetric operator norm.
 A projection is represented by an orthonormal frame of its range (rows of an
 r x n matrix F), so p = F^T F.  Compressions p s p are evaluated as the small
 r x r matrix F S F^T, which has the same operator norm because F^T restricted
-to the coordinate space is an isometry onto range(p).  The eigensolver is a
-cyclic Jacobi iteration (deterministic, no tuning) with a power-iteration
-fallback for large matrices.
+to the coordinate space is an isometry onto range(p).  The operator norm is
+read off the extreme eigenvalues from LAPACK's symmetric eigensolver
+(``numpy.linalg.eigvalsh``).  Matrices and frames with a non-finite entry
+are rejected at construction, so no NaN reaches an eigensolve.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads or worker
@@ -24,20 +25,6 @@ Vector = np.ndarray
 
 SYMMETRY_TOL = 1e-12        # relative asymmetry accepted at construction
 FRAME_GRAM_TOL = 1e-10      # max |<v_i, v_j> - delta_ij| accepted for a frame
-JACOBI_MAX_DIM = 256        # Jacobi below this size, power iteration above
-JACOBI_FLAT_DIM = 48        # below this, scalar rotations beat numpy overhead
-JACOBI_OFF_TOL = 1e-13      # off-diagonal Frobenius target, relative to ||M||_F
-JACOBI_MAX_SWEEPS = 60
-POWER_RTOL = 1e-12          # relative Rayleigh-quotient tolerance
-POWER_MAX_ITER = 100_000
-
-
-class OperatorNormError(RuntimeError):
-    """Eigensolve failed to converge; ``estimate`` carries the last iterate."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 class SymmetricMatrix:
@@ -50,7 +37,11 @@ class SymmetricMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
         if a.size:
+            # NaN and +-inf propagate through the max, so one reduction both
+            # scales the symmetry check and rejects non-finite entries.
             scale = float(np.abs(a).max())
+            if not math.isfinite(scale):
+                raise ValueError("matrix entries must be finite")
             if scale and float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
                 raise ValueError("matrix is not symmetric within tolerance")
         a = (a + a.T) / 2.0
@@ -85,6 +76,8 @@ class OrthonormalFrame:
         a = np.array(rows, dtype=float)
         if a.ndim != 2:
             raise ValueError("expected a 2-d array of rows, got shape %s" % (a.shape,))
+        if not np.isfinite(a).all():
+            raise ValueError("frame entries must be finite")
         r = a.shape[0]
         if r:
             g = a @ a.T
@@ -166,11 +159,13 @@ class Symmetry:
     __slots__ = ("signs",)
 
     def __init__(self, signs):
-        a = np.array(signs, dtype=np.int64)
+        # Compare before any integer cast, which would truncate 1.9 to 1.
+        a = np.array(signs, dtype=float)
         if a.ndim != 1:
             raise ValueError("signs must be a 1-d sequence")
-        if a.size and not np.all(np.abs(a) == 1):
+        if not np.all(np.abs(a) == 1.0):
             raise ValueError("every sign must be exactly +1 or -1")
+        a = a.astype(np.int64)
         a.setflags(write=False)
         object.__setattr__(self, "signs", a)
 
@@ -235,140 +230,14 @@ def apply_psp(p: Projection, s: Symmetry, v: Vector) -> Vector:
 
 
 def operator_norm(m: SymmetricMatrix) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix.
-
-    Cyclic Jacobi rotations up to JACOBI_MAX_DIM (run until the off-diagonal
-    Frobenius mass drops below JACOBI_OFF_TOL * ||M||_F), power iteration on
-    M^2 beyond that.  Raises OperatorNormError on non-convergence, carrying
-    the last iterate's estimate.
-    """
-    a = m.mat
-    if a.shape[0] == 0:
+    """Largest absolute eigenvalue of a symmetric matrix, from the extreme
+    eigenvalues that ``numpy.linalg.eigvalsh`` (LAPACK) returns in ascending
+    order."""
+    if m.n == 0:
         return 0.0
-    if a.shape[0] == 1:
-        return abs(float(a[0, 0]))
-    if a.shape[0] <= JACOBI_FLAT_DIM:
-        return _jacobi_flat(a)
-    if a.shape[0] <= JACOBI_MAX_DIM:
-        return _jacobi_spectral_radius(np.array(a))
-    return _power_spectral_radius(a)
-
-
-def _jacobi_flat(mat: np.ndarray) -> float:
-    # Same cyclic Jacobi as _jacobi_spectral_radius, on a flat Python list:
-    # scalar rotations outrun numpy's per-call overhead on small matrices,
-    # which matters inside the 2^(n-1)-step brute-force walk.
-    n = mat.shape[0]
-    a = [float(x) for x in mat.ravel()]
-    fsq = 0.0
-    for x in a:
-        fsq += x * x
-    if fsq == 0.0:
-        return 0.0
-    target_sq = (JACOBI_OFF_TOL * JACOBI_OFF_TOL) * fsq
-    skip_sq = target_sq / float(n**4)
-    for _sweep in range(JACOBI_MAX_SWEEPS):
-        off_sq = 0.0
-        for p in range(n - 1):
-            base = p * n
-            for q in range(p + 1, n):
-                x = a[base + q]
-                off_sq += 2.0 * x * x
-        if off_sq <= target_sq:
-            return max(abs(a[p * n + p]) for p in range(n))
-        for p in range(n - 1):
-            pn = p * n
-            for q in range(p + 1, n):
-                apq = a[pn + q]
-                if apq * apq <= skip_sq:
-                    continue
-                qn = q * n
-                theta = (a[qn + q] - a[pn + p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(n):
-                    rp = a[pn + k]
-                    rq = a[qn + k]
-                    a[pn + k] = c * rp - s * rq
-                    a[qn + k] = s * rp + c * rq
-                for k in range(n):
-                    kp = k * n + p
-                    kq = k * n + q
-                    cp = a[kp]
-                    cq = a[kq]
-                    a[kp] = c * cp - s * cq
-                    a[kq] = s * cp + c * cq
-                a[pn + q] = 0.0
-                a[qn + p] = 0.0
-    raise OperatorNormError(
-        "cyclic Jacobi did not converge in %d sweeps" % JACOBI_MAX_SWEEPS,
-        max(abs(a[p * n + p]) for p in range(n)),
-    )
-
-
-def _jacobi_spectral_radius(a: np.ndarray) -> float:
-    n = a.shape[0]
-    fnorm = float(np.linalg.norm(a))
-    if fnorm == 0.0:
-        return 0.0
-    target = JACOBI_OFF_TOL * fnorm
-    skip = target / (n * n)
-    for _sweep in range(JACOBI_MAX_SWEEPS):
-        # Measure the off-diagonal mass directly; subtracting the diagonal
-        # mass from the total cancels catastrophically near convergence.
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        off_sq = float((off * off).sum())
-        if off_sq <= target * target:
-            return float(np.abs(np.diag(a)).max())
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise OperatorNormError(
-        "cyclic Jacobi did not converge in %d sweeps" % JACOBI_MAX_SWEEPS,
-        float(np.abs(np.diag(a)).max()),
-    )
-
-
-def _power_spectral_radius(a: np.ndarray) -> float:
-    # Power iteration on M^2 so the dominant eigenvalue is nonnegative even
-    # when the extreme eigenvalue of M is negative.  Fixed internal seed: the
-    # start vector must not vary between runs.
-    rng = np.random.Generator(np.random.PCG64(0x9E3779B9))
-    x = rng.standard_normal(a.shape[0])
-    x /= np.linalg.norm(x)
-    lam = float(np.dot(a @ x, a @ x))
-    for _ in range(POWER_MAX_ITER):
-        y = a @ (a @ x)
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            return 0.0
-        x = y / ny
-        lam_new = float(np.dot(a @ x, a @ x))
-        if abs(lam_new - lam) <= POWER_RTOL * max(lam_new, 1e-300):
-            return math.sqrt(lam_new)
-        lam = lam_new
-    raise OperatorNormError(
-        "power iteration did not converge in %d iterations" % POWER_MAX_ITER,
-        math.sqrt(max(lam, 0.0)),
-    )
+    w = np.linalg.eigvalsh(m.mat)
+    # The leading 0.0 wins ties with -0.0, so a zero norm never prints as -0.0.
+    return float(max(0.0, -w[0], w[-1]))
 
 
 def random_projection(n: int, r: int, seed: int) -> Projection:

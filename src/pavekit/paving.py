@@ -1,8 +1,9 @@
 """Paving experiments on arbitrary projections.
 
-Exhaustive minimum of ||psp|| over diagonal symmetries for small n (Gray
-code over the sign hypercube with a rank-one update of the compression per
-step), Conjecture A / Conjecture B instance tests, the paving-pair quantity
+Exhaustive minimum of ||psp|| over diagonal symmetries for small n (a Gray
+walk over the sign hypercube, building each r x r compression afresh from
+the frame, with ties broken by an order-independent rule), Conjecture A /
+Conjecture B instance tests, the paving-pair quantity
 max(||qpq||, ||(1-q)p(1-q)||) against its 1/2 + delta_p threshold, and a
 deterministic seeded scan harness that emits machine-readable records.
 """
@@ -12,9 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import os
 import time
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +34,9 @@ from .rearrange import DEGENERATE_TOL, single_vector_symmetry
 DEFAULT_MAX_N = 24
 CONJECTURE_TOL = 1e-9
 SCAN_MODES = ("conjectureA", "balance")
-
-# Rebuild the compression from scratch this often to shed accumulated
-# rank-one-update roundoff on long walks.
-_REFRESH_PERIOD = 1 << 16
+# Norms within TIE_TOL of the minimum tie.  Norms of compressions of a
+# projection are at most 1, so this is a few ulps, far below CONJECTURE_TOL.
+TIE_TOL = 8 * float(np.finfo(float).eps)
 
 
 class BruteForceCapError(ValueError):
@@ -53,23 +55,16 @@ def delta_p_numeric(p: Projection) -> float:
     return float(p.diagonal().max())
 
 
-def gray_flips(nbits: int) -> Iterator[int]:
-    """Bit positions flipped along the reflected Gray walk of nbits bits.
-
-    Yields 2^nbits - 1 positions; starting from all-zeros and flipping them
-    in order visits every bit pattern exactly once.
-    """
-    for t in range(1, 1 << nbits):
-        yield (t & -t).bit_length() - 1
-
-
 def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, Symmetry]:
     """Exact-by-exhaustion minimum of ||psp|| over diagonal symmetries.
 
     The first sign is pinned to +1 (s and -s give the same norm); the
-    remaining 2^(n-1) sign vectors are visited in Gray-code order, updating
-    the r x r compression by a rank-one correction per flip.  Ties go to the
-    lexicographically smallest sign vector (-1 before +1).
+    remaining 2^(n-1) sign vectors are visited in Gray-code order, and each
+    compression F S F^T is built afresh, so a sign vector's norm does not
+    depend on where the walk meets it.  Returns the smallest norm and, among
+    the sign vectors whose norm is within TIE_TOL of it, the
+    lexicographically smallest (-1 before +1).  Neither depends on the order
+    of the walk.
     """
     n = p.n
     if n < 1:
@@ -84,22 +79,39 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
         return 0.0, Symmetry(signs)
 
     f = p.frame.rows
-    signs = np.ones(n, dtype=np.int64)
-    m = f @ f.T
-    best = operator_norm(SymmetricMatrix(m))
-    best_signs = signs.copy()
-    for t in range(1, 1 << (n - 1)):
-        j = (t & -t).bit_length()  # trailing zeros + 1: bit 0 stays pinned
-        signs[j] = -signs[j]
-        fj = f[:, j]
-        m += (2.0 * signs[j]) * np.outer(fj, fj)
-        if t % _REFRESH_PERIOD == 0:
-            m = (f * signs) @ f.T
-        norm = operator_norm(SymmetricMatrix(m))
-        if norm < best or (norm == best and tuple(signs) < tuple(best_signs)):
-            best = norm
-            best_signs = signs.copy()
-    return float(best), Symmetry(best_signs)
+    signs = np.ones(n)
+    # The sign vector as an n-bit integer, first sign most significant and
+    # +1 as bit 1: integer order is lexicographic order with -1 before +1.
+    key = (1 << n) - 1
+    best = math.inf
+    ties: list[tuple[int, float]] = []
+    for t in range(1 << (n - 1)):
+        if t:
+            j = (t & -t).bit_length()  # trailing zeros + 1: bit 0 stays pinned
+            signs[j] = -signs[j]
+            key ^= 1 << (n - 1 - j)
+        norm = operator_norm(SymmetricMatrix((f * signs) @ f.T))
+        if norm <= best + TIE_TOL:
+            best = min(best, norm)
+            ties = _add_tie(ties, key, norm, best + TIE_TOL)
+    key = min(k for k, _ in ties)
+    return float(best), Symmetry([1 if key >> (n - 1 - i) & 1 else -1 for i in range(n)])
+
+
+def _add_tie(ties: list[tuple[int, float]], key: int, norm: float, limit: float):
+    """The tie candidates (key, norm) after meeting ``key`` at ``norm``.
+
+    Keeps only the candidates within ``limit`` that no other candidate beats
+    on both key and norm: a beaten one is never the final answer, since its
+    beater ties whenever it does.  So the list stays a few entries long even
+    when every symmetry ties, and the smallest key left at the end is the
+    lex-smallest tie whatever the visit order.
+    """
+    if any(k < key and x <= norm for k, x in ties):
+        return ties  # beaten: norm >= best, so the limit has not moved
+    kept = [(k, x) for k, x in ties if x <= limit and not (k > key and x >= norm)]
+    kept.append((key, norm))
+    return kept
 
 
 def brute_force_min_vector(
@@ -265,11 +277,21 @@ def conjectureA_test(
     return rec
 
 
+def _check_gamma_epsilon(gamma: float, epsilon: float) -> None:
+    # NaN fails every comparison, so it is rejected here too.
+    if not (0.0 < gamma < math.inf):
+        raise ValueError("gamma must be finite and > 0, got %r" % (gamma,))
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must satisfy 0 < epsilon < 1, got %r" % (epsilon,))
+
+
 def conjectureB_probe(
     p: Projection, gamma: float, epsilon: float, max_n: int = DEFAULT_MAX_N
 ) -> bool:
     """Test one instance of Conjecture B: delta_p < gamma implies some
-    symmetry has ||psp|| < 1 - epsilon.  Vacuously true when delta_p >= gamma."""
+    symmetry has ||psp|| < 1 - epsilon.  Vacuously true when delta_p >= gamma.
+    Needs finite gamma > 0 and 0 < epsilon < 1."""
+    _check_gamma_epsilon(gamma, epsilon)
     if delta_p_numeric(p) >= gamma:
         return True
     min_norm, _ = brute_force_min(p, max_n=max_n)
@@ -296,6 +318,8 @@ class ScanConfig:
             raise ValueError("count must be >= 0")
         if (self.gamma is None) != (self.epsilon is None):
             raise ValueError("gamma and epsilon must be given together")
+        if self.gamma is not None:
+            _check_gamma_epsilon(self.gamma, self.epsilon)
 
     def to_json_dict(self) -> dict:
         return {
@@ -365,14 +389,16 @@ def scan(config: ScanConfig, workers: int = 1) -> list[ExperimentRecord]:
     The brute-force cap is enforced up front; everything else that goes
     wrong in an instance is captured in its record's error field.  Records
     are identical across runs and across worker counts (except runtime_ms).
+    At most min(workers, os.cpu_count(), count) processes are started.
     """
     if config.n > config.max_n:
         raise BruteForceCapError(config.n, config.max_n)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    tasks = [(config, i) for i in range(config.count)]
-    if workers == 1 or config.count <= 1:
+    workers = min(workers, os.cpu_count() or 1, config.count)
+    if workers <= 1:
         return [_scan_instance(config, i) for i in range(config.count)]
+    tasks = [(config, i) for i in range(config.count)]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -155,3 +155,11 @@ def test_reports_embed_version_and_flags():
 def test_unknown_command_is_usage_error():
     proc = run_cli("frobnicate")
     assert proc.returncode == 1
+
+
+def test_scan_rejects_non_finite_conjectureB_parameters():
+    proc = run_cli("scan", "--n", "4", "--rank", "2", "--count", "1", "--seed", "1",
+                   "--gamma", "nan", "--epsilon", "nan")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "gamma must be finite" in proc.stderr

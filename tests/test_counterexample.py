@@ -261,6 +261,14 @@ def test_workers_do_not_change_the_report():
     assert a == b
 
 
+def test_pool_size_is_clamped_to_cpu_count(pool_sizes):
+    # the fixture reports 3 CPUs and runs chunks inline
+    ref = min_over_symmetries_v0(6, workers=1)
+    assert min_over_symmetries_v0(6, workers=10_000) == ref
+    assert min_over_symmetries_v0(6, workers=2) == ref
+    assert pool_sizes == [3, 2]
+
+
 def test_branch_bound_examples():
     assert abs(branch_lower_bound(6, 0) - 5.0 / 49.0) < 1e-15
     assert abs(branch_lower_bound(6, 9) - math.sqrt(13) / 98.0) < 1e-15

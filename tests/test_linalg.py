@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pavekit.linalg import (
-    OperatorNormError,
     OrthonormalFrame,
     Projection,
     Symmetry,
@@ -32,6 +31,18 @@ def test_symmetric_matrix_validates_and_symmetrizes():
         SymmetricMatrix(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_rejected_at_construction(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SymmetricMatrix([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        SymmetricMatrix([[1.0, bad], [bad, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        OrthonormalFrame([[bad, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        OrthonormalFrame([[1.0, 0.0], [0.0, bad]])
+
+
 def test_frame_rejects_non_orthonormal_rows():
     with pytest.raises(ValueError):
         OrthonormalFrame([[1.0, 1.0], [0.0, 1.0]])
@@ -46,6 +57,15 @@ def test_symmetry_validation():
     assert Symmetry.from_plus_positions(4, [0, 2]).signs.tolist() == [1, -1, 1, -1]
     with pytest.raises(ValueError):
         Symmetry([1, 0, -1])
+
+
+def test_symmetry_requires_integral_unit_signs():
+    s = Symmetry([1.0, -1.0])
+    assert s.signs.tolist() == [1, -1] and s.signs.dtype == np.int64
+    for bad in ([1.0, -1.9], [1.5, -1], [1, math.nan], [1, math.inf], [0.999, 1]):
+        with pytest.raises(ValueError):
+            Symmetry(bad)
+    assert Symmetry([]).n == 0
 
 
 def test_gram_examples():
@@ -79,7 +99,10 @@ def test_compress_psp_examples():
 
 def test_operator_norm_examples():
     assert operator_norm(SymmetricMatrix(np.diag([3.0, -1.0]))) == 3.0
-    assert operator_norm(SymmetricMatrix(np.zeros((5, 5)))) == 0.0
+    assert operator_norm(SymmetricMatrix(np.diag([1.0, -4.0]))) == 4.0
+    assert operator_norm(SymmetricMatrix([[-2.5]])) == 2.5
+    zero = operator_norm(SymmetricMatrix(np.zeros((5, 5))))
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0  # never -0.0
     assert abs(operator_norm(SymmetricMatrix([[0.0, 1.0], [1.0, 0.0]])) - 1.0) < 1e-12
     assert operator_norm(SymmetricMatrix(np.zeros((0, 0)))) == 0.0
 
@@ -95,7 +118,8 @@ def test_operator_norm_against_lapack_oracle():
 
 
 def test_operator_norm_power_iteration_path():
-    # above JACOBI_MAX_DIM the power iteration on M^2 takes over
+    # a 300 x 300 matrix with a known spectrum whose extreme eigenvalue is
+    # negative: the norm is its absolute value, not the largest eigenvalue
     rng = np.random.Generator(np.random.PCG64(5))
     d = np.linspace(-3.0, 2.0, 300)
     q, _ = np.linalg.qr(rng.standard_normal((300, 300)))
@@ -179,11 +203,6 @@ def test_apply_psp_norm_bounded_by_compression_norm():
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
         assert np.linalg.norm(apply_psp(p, s, v)) <= bound + 1e-9
-
-
-def test_operator_norm_error_carries_estimate():
-    err = OperatorNormError("nope", 1.25)
-    assert err.estimate == 1.25
 
 
 def test_json_round_trips():

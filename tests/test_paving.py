@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -14,6 +15,7 @@ from pavekit.linalg import (
     random_projection,
 )
 from pavekit.paving import (
+    TIE_TOL,
     BruteForceCapError,
     ExperimentRecord,
     ScanConfig,
@@ -22,7 +24,6 @@ from pavekit.paving import (
     conjectureA_test,
     conjectureB_probe,
     delta_p_numeric,
-    gray_flips,
     paving_pair,
     records_to_csv,
     records_to_jsonl,
@@ -41,16 +42,6 @@ def test_delta_p_numeric_examples():
     assert delta_p_numeric(p) == pytest.approx(0.25)
     w = float_projection(6)
     assert delta_p_numeric(w) == pytest.approx(2.0 / 49.0, abs=1e-12)
-
-
-def test_gray_walk_visits_every_pattern_once():
-    for nbits in (0, 1, 3, 6):
-        state = [0] * nbits
-        seen = {tuple(state)}
-        for j in gray_flips(nbits):
-            state[j] ^= 1
-            seen.add(tuple(state))
-        assert len(seen) == 2**nbits
 
 
 def test_brute_force_examples():
@@ -102,6 +93,55 @@ def test_brute_force_matches_direct_enumeration():
             best = min(best, nor)
         mn, _ = brute_force_min(p)
         assert mn == pytest.approx(best, abs=1e-10)
+
+
+def _signs_str(s):
+    return "".join("+" if x > 0 else "-" for x in s.signs)
+
+
+def test_tie_rule_when_every_symmetry_ties():
+    # every compression of p = I has norm 1: the lex-smallest sign vector
+    # with the leading +1 wins
+    mn, argmin = brute_force_min(Projection(OrthonormalFrame(np.eye(8))))
+    assert mn == 1.0 and _signs_str(argmin) == "+-------"
+    # rank 7 in R^10: range(p) meets every coordinate subspace of dimension
+    # >= 4, and every symmetry has 5 or more equal signs, so every norm is 1
+    # up to roundoff
+    mn, argmin = brute_force_min(random_projection(10, 7, seed=42))
+    assert abs(mn - 1.0) < 1e-14
+    assert _signs_str(argmin) == "+---------"
+
+
+def test_tie_rule_is_lex_smallest_within_tie_tol():
+    # independent oracle: norms in lexicographic order (-1 before +1), then
+    # the first within TIE_TOL of the minimum; rank 3 is generic, rank 5 of
+    # 8 is degenerate (every norm is 1 up to roundoff)
+    tails = list(itertools.product((-1, 1), repeat=7))
+    for rank in (3, 5):
+        p = random_projection(8, rank, seed=3)
+        norms = [operator_norm(compress_psp(p, Symmetry((1,) + t))) for t in tails]
+        mn, argmin = brute_force_min(p)
+        assert mn == min(norms)  # each compression is built afresh: no drift
+        expected = next(t for t, x in zip(tails, norms) if x <= mn + TIE_TOL)
+        assert tuple(argmin.signs[1:].tolist()) == expected
+
+
+def test_tie_rule_on_permuted_degenerate_instances():
+    # p = vv^T with v = (1, 1, 2, 2, 3, 3) permuted: ||psp|| = |sum s_i v_i^2|
+    # / ||v||^2, which is zero (up to roundoff) exactly when the integer sum
+    # vanishes.  The argmin must be the lex-smallest such s, however the
+    # permutation places the tied symmetries along the walk.
+    rng = np.random.Generator(np.random.PCG64(606))
+    base = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+    for _ in range(8):
+        v = base[rng.permutation(6)]
+        w = (v * v).astype(int)
+        ties = [s for s in itertools.product((-1, 1), repeat=6)
+                if s[0] == 1 and int(np.dot(s, w)) == 0]
+        assert len(ties) >= 4
+        mn, argmin = brute_force_min(rank1(v))
+        assert mn < 1e-15
+        assert tuple(argmin.signs.tolist()) == min(ties)
 
 
 def test_s_and_minus_s_compress_to_equal_norms():
@@ -260,6 +300,27 @@ def test_config_validation():
         ScanConfig(n=4, rank=2, count=-1, seed=0)
     with pytest.raises(ValueError):
         ScanConfig(n=4, rank=2, count=1, seed=0, gamma=0.5)
+
+
+@pytest.mark.parametrize("gamma, epsilon", [
+    (math.nan, math.nan), (math.nan, 0.1), (0.5, math.nan), (math.inf, 0.1),
+    (0.0, 0.1), (-0.5, 0.1), (0.5, 0.0), (0.5, 1.0), (0.5, -0.1),
+])
+def test_conjectureB_parameters_validated(gamma, epsilon):
+    with pytest.raises(ValueError):
+        ScanConfig(n=4, rank=2, count=1, seed=0, gamma=gamma, epsilon=epsilon)
+    with pytest.raises(ValueError):
+        conjectureB_probe(rank1([1.0, 1.0]), gamma=gamma, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("workers, count, expected", [
+    (10_000, 5, [3]), (10_000, 2, [2]), (2, 5, [2]), (10_000, 1, []), (1, 5, []),
+])
+def test_scan_pool_size_is_clamped(workers, count, expected, pool_sizes):
+    # min(workers, cpu_count() = 3, count); one process runs inline
+    recs = scan(ScanConfig(n=4, rank=2, count=count, seed=5), workers=workers)
+    assert pool_sizes == expected
+    assert [r.seed for r in recs] == list(range(5, 5 + count))
 
 
 def test_record_serialization_shapes():
