@@ -2,12 +2,12 @@
 
 Library layout:
 
-- ``pavekit.exact``: rationals (``fractions.Fraction``) and the quadratic
-  extension Q(sqrt(rho)), with exact sign evaluation.
 - ``pavekit.linalg``: frames, projections, diagonal symmetries, compressions,
   and the symmetric operator norm.
 - ``pavekit.counterexample``: the structured projection whose compressions
-  exceed 2*delta_p for every diagonal symmetry, plus its exact certificate.
+  exceed 2*delta_p for every diagonal symmetry, stored exactly as two
+  integer arrays, plus its exact certificate in rational arithmetic
+  (``fractions.Fraction``).
 - ``pavekit.rearrange``: zero-sum rearrangement and the single-vector
   symmetry achieving ||psp(v)|| <= sqrt(2*delta_p + 3*delta_p^2).
 - ``pavekit.paving``: brute-force searches, conjecture instance tests, and
@@ -17,7 +17,6 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .exact import QuadExt, Rational, quad_sign, rational_from_str, rational_to_str
 from .linalg import (
     OrthonormalFrame,
     Projection,
@@ -42,6 +41,7 @@ from .counterexample import (
     min_over_symmetries_v0,
     psp_v0_coeffs,
     psp_v0_norm_sq,
+    rational_to_str,
     row_norm_sq,
     verify_orthonormal,
 )
@@ -67,11 +67,6 @@ from .paving import (
 
 __all__ = [
     "__version__",
-    "QuadExt",
-    "Rational",
-    "quad_sign",
-    "rational_from_str",
-    "rational_to_str",
     "OrthonormalFrame",
     "Projection",
     "Symmetry",
@@ -93,6 +88,7 @@ __all__ = [
     "min_over_symmetries_v0",
     "psp_v0_coeffs",
     "psp_v0_norm_sq",
+    "rational_to_str",
     "row_norm_sq",
     "verify_orthonormal",
     "SingleVectorResult",

@@ -25,10 +25,10 @@ from .counterexample import (
     delta_p_exact,
     dimension,
     min_over_symmetries_v0,
+    rational_to_str,
     row_norm_sq,
     verify_orthonormal,
 )
-from .exact import rational_to_str
 from .linalg import random_projection
 from .paving import (
     BruteForceCapError,

@@ -20,10 +20,18 @@ and, for 1 <= i <= 2m+1,
           + sum_{j<i} 1/(m(m+1)) c_{ji} - sum_{j>i} 1/(m(m+1)) c_{ij}
           + sum_j (1/m) sqrt((m-1)/(m+1)) d_{ij}.
 
-Every entry is rational except on the d block, where entries live in
-Q(sqrt((m-1)/(m+1))); every pairwise inner product is rational, so
-orthonormality is verified exactly.  The largest diagonal entry of p is
-delta_p = 2/(m+1)^2 (the b-block value) for m >= 6.
+Every entry is rational except on the d block, where entries are rational
+multiples of sqrt(rho), rho = (m-1)/(m+1).  ``ExactFrame`` therefore stores
+the frame as two integer arrays R and D, one row per vector, with
+
+    <v_k, e_x> = R[k, x] / (m^2 (m+1)) + D[k, x] * sqrt(rho) / m.
+
+Read off the displays: R is m^2 on the a and b coordinates of v_0; on v_i,
+R is -1 on every a_j, m^2 on b_i, +m on c_{ji} (j < i) and -m on c_{ij}
+(j > i), and D is 1 on every d_{ij}.  Orthonormality, the row norms and
+delta_p are decided in integer and rational arithmetic on these arrays.
+The largest diagonal entry of p is delta_p = 2/(m+1)^2 (the b-block value)
+for m >= 6.
 
 For a diagonal symmetry s write eps_i = s(a_i), eps'_i = s(b_i).  Expanding
 p s p (v_0) in the frame basis gives coefficients
@@ -47,11 +55,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .exact import QuadExt, rational_to_str
 from .linalg import OrthonormalFrame, Projection, Symmetry
 
 FALSIFIES_A = "FALSIFIES_A"
@@ -177,104 +183,87 @@ def all_indices(m: int):
             yield BasisIndex.d(i, j)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ExactFrame:
-    """The 2m+2 frame vectors with exact entries, stored sparsely.
+    """The 2m+2 frame vectors with exact entries, as two integer arrays.
 
-    ``rows[k]`` maps a coordinate offset to its (nonzero) QuadExt entry; all
-    entries share the radicand rho = (m-1)/(m+1).  Treat instances as
-    immutable; they may be shared through a cache.
+    Entry (k, x) of v_k is R[k, x] / (m^2 (m+1)) + D[k, x] * sqrt(rho) / m
+    with rho = (m-1)/(m+1); ``R`` and ``D`` are int64 arrays of shape
+    (2m+2, dim), read-only when they come from ``build_frame``.
     """
 
     m: int
-    rho: Fraction
-    rows: list[dict[int, QuadExt]]
+    R: np.ndarray
+    D: np.ndarray
+
+    @property
+    def rho(self) -> Fraction:
+        return Fraction(self.m - 1, self.m + 1)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return self.R.shape[0]
 
-    @property
-    def n(self) -> int:
-        return dimension(self.m)
 
-    def entry(self, k: int, offset: int) -> QuadExt:
-        return self.rows[k].get(offset, QuadExt(0, 0, self.rho))
+def _columns(m: int, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R and D of the frame restricted to the coordinates at ``offsets``,
+    read off the displays of v_0 and v_i in the module docstring."""
+    w = 2 * m + 1
+    sl = block_slices(m)
+    cols = np.arange(offsets.size)
+    r = np.zeros((w + 1, offsets.size), dtype=np.int64)
+    d = np.zeros_like(r)
+    # a_j: 1/(m+1) on v_0, -1/(m^2(m+1)) on every v_i
+    on = offsets < sl["a"].stop
+    r[0, on] = m * m
+    r[1:, on] = -1
+    # b_i: 1/(m+1) on v_0 and on v_i
+    on = (offsets >= sl["b"].start) & (offsets < sl["b"].stop)
+    r[0, on] = m * m
+    r[1 + offsets[on] - sl["b"].start, cols[on]] = m * m
+    # c_{ij}, i < j: +1/(m(m+1)) on v_j, -1/(m(m+1)) on v_i; the pairs in
+    # lexicographic order, as _pair_rank counts them
+    on = (offsets >= sl["c"].start) & (offsets < sl["c"].stop)
+    lo, hi = np.triu_indices(w, 1)
+    pair = offsets[on] - sl["c"].start
+    r[1 + hi[pair], cols[on]] = m
+    r[1 + lo[pair], cols[on]] = -m
+    # d_{ij}: (1/m) sqrt(rho) on v_i
+    on = offsets >= sl["d"].start
+    d[1 + (offsets[on] - sl["d"].start) // (m + 1) ** 2, cols[on]] = 1
+    return r, d
 
 
 def build_frame(m: int) -> ExactFrame:
     """Construct the 2m+2 exact frame vectors spanning the projection."""
     _check_m(m)
-    rho = Fraction(m - 1, m + 1)
-    # Entries repeat massively; sharing the immutable values keeps the build
-    # at one object per distinct coefficient.
-    inv_m1 = QuadExt(Fraction(1, m + 1), 0, rho)
-    neg_a = QuadExt(Fraction(-1, m * m * (m + 1)), 0, rho)
-    c_plus = QuadExt(Fraction(1, m * (m + 1)), 0, rho)
-    c_minus = -c_plus
-    d_coef = QuadExt(0, Fraction(1, m), rho)
-
-    w = 2 * m + 1
-    off_b = m * m
-    off_c = off_b + w
-    off_d = off_c + m * w
-    d_width = (m + 1) ** 2
-
-    rows: list[dict[int, QuadExt]] = []
-    v0: dict[int, QuadExt] = {}
-    for t in range(m * m):
-        v0[t] = inv_m1
-    for t in range(w):
-        v0[off_b + t] = inv_m1
-    rows.append(v0)
-
-    for i in range(1, w + 1):
-        row: dict[int, QuadExt] = {}
-        for t in range(m * m):
-            row[t] = neg_a
-        row[off_b + i - 1] = inv_m1
-        for j in range(1, i):
-            row[off_c + _pair_rank(m, j, i)] = c_plus
-        for j in range(i + 1, w + 1):
-            row[off_c + _pair_rank(m, i, j)] = c_minus
-        base = off_d + (i - 1) * d_width
-        for j in range(d_width):
-            row[base + j] = d_coef
-        rows.append(row)
-    return ExactFrame(m=m, rho=rho, rows=rows)
-
-
-@lru_cache(maxsize=8)
-def _cached_frame(m: int) -> ExactFrame:
-    return build_frame(m)
-
-
-def _dot(u: dict[int, QuadExt], w: dict[int, QuadExt], zero: QuadExt) -> QuadExt:
-    if len(w) < len(u):
-        u, w = w, u
-    acc = zero
-    for k, x in u.items():
-        y = w.get(k)
-        if y is not None:
-            acc = acc + x * y
-    return acc
+    r, d = _columns(m, np.arange(dimension(m)))
+    r.setflags(write=False)
+    d.setflags(write=False)
+    return ExactFrame(m=m, R=r, D=d)
 
 
 def verify_orthonormal(f: ExactFrame) -> bool:
     """Exact check that the frame's Gram matrix is the identity.
 
-    Every pairwise inner product is computed in Q(sqrt(rho)); each one comes
-    out rational because the radical appears squared or not at all.
+    With L = m^2 (m+1), the Gram matrix is
+
+        R R^T / L^2 + rho D D^T / m^2 + (R D^T + D R^T) sqrt(rho) / (L m).
+
+    rho is never the square of a rational for m >= 2, so it equals I exactly
+    when the radical part vanishes and, scaled by L^2, the rational part
+    R R^T + (m-1) m^2 (m+1) D D^T equals L^2 I.
     """
-    zero = QuadExt(0, 0, f.rho)
-    one = QuadExt(1, 0, f.rho)
-    r = f.rank
-    for i in range(r):
-        for k in range(i, r):
-            g = _dot(f.rows[i], f.rows[k], zero)
-            if g != (one if i == k else zero):
-                return False
-    return True
+    # int64 cannot overflow on a built frame: |R| <= m^2 and |D| <= 1, so
+    # every Gram sum stays below about 2 m^6, far below 2^63 at every m whose
+    # dense frame fits in memory (m=40 already takes 185 MB).
+    m, r, d = f.m, f.R, f.D
+    scale = m * m * (m + 1)
+    cross = r @ d.T
+    if np.any(cross + cross.T):
+        return False
+    gram = r @ r.T + (m - 1) * m * m * (m + 1) * (d @ d.T)
+    return bool(np.array_equal(gram, scale * scale * np.eye(f.rank, dtype=np.int64)))
 
 
 def row_norm_sq(m: int, index: BasisIndex) -> Fraction:
@@ -287,16 +276,16 @@ def row_norm_sq(m: int, index: BasisIndex) -> Fraction:
         b: 2/(m+1)^2
         c: 2/(m^2 (m+1)^2)
         d: (m-1)/(m^2 (m+1))
+
+    Only the column at x is built.  A coordinate's entries are rational on
+    the a, b and c blocks and pure multiples of sqrt(rho) on the d block, so
+    the squares never carry a radical.
     """
-    index.validate(m)
-    f = _cached_frame(m)
-    pos = index.offset(m)
-    acc = Fraction(0)
-    for row in f.rows:
-        e = row.get(pos)
-        if e is not None:
-            acc += (e * e).as_rational()
-    return acc
+    r, d = _columns(m, np.array([index.offset(m)]))
+    scale = m * m * (m + 1)
+    return Fraction(int(r[:, 0] @ r[:, 0]), scale * scale) + Fraction(
+        (m - 1) * int(d[:, 0] @ d[:, 0]), (m + 1) * m * m
+    )
 
 
 def delta_p_exact(m: int) -> Fraction:
@@ -418,6 +407,11 @@ def branch_bound_overall(m: int) -> float:
     return delta / 4.0 * min(float(m * m - 4 * m - 2), math.sqrt(2 * m + 1))
 
 
+def rational_to_str(x: Fraction) -> str:
+    """Serialize a rational as "numerator/denominator", slash always present."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     """Outcome of the exhaustive (alpha, beta) scan for one m.
@@ -520,13 +514,14 @@ def _lattice_min_star(args: tuple[int, int, int]) -> tuple[int, int, int]:
 
 
 def float_frame(m: int) -> OrthonormalFrame:
-    """The exact frame rounded to floats, as a dense (2m+2) x dim frame."""
-    f = _cached_frame(m)
-    rows = np.zeros((f.rank, f.n))
-    for k, row in enumerate(f.rows):
-        for pos, val in row.items():
-            rows[k, pos] = float(val)
-    return OrthonormalFrame(rows)
+    """The exact frame rounded to floats, as a dense (2m+2) x dim frame.
+
+    A rational entry is R / L, the correctly rounded quotient of two exactly
+    represented integers; every d entry is the float (1/m) * sqrt(rho).
+    """
+    f = build_frame(m)
+    radical = (1.0 / m) * math.sqrt((m - 1) / (m + 1))
+    return OrthonormalFrame(f.R / (m * m * (m + 1)) + f.D * radical)
 
 
 def float_projection(m: int) -> Projection:

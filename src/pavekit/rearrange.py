@@ -194,10 +194,19 @@ def single_vector_symmetry(p: Projection, v: Vector) -> SingleVectorResult:
     Steps: project and renormalize v; form the perpendicular coordinate
     slices y_i = v_i (P e_i - v_i v); greedily reorder them; cut at the
     smallest prefix k with |1/2 - sum alpha^2| <= delta_p/2; s is +1 on the
-    prefix coordinates and -1 elsewhere.
+    prefix coordinates and -1 elsewhere.  A v with a NaN or infinite entry,
+    and a v whose projection vanishes relative to max|v_i|, raise
+    ``ValueError``.
     """
     v = np.asarray(v, dtype=float)
-    pv = p.apply(v)
+    if not np.isfinite(v).all():
+        raise ValueError("v has a NaN or infinite entry")
+    peak = float(np.abs(v).max(initial=0.0))
+    if peak == 0.0:
+        raise ValueError("v = 0; no direction to cancel")
+    # Only the direction of p(v) matters; scaling by max|v_i| first keeps
+    # x.dot(x) from overflowing on huge v and DEGENERATE_TOL relative.
+    pv = p.apply(v / peak)
     nrm = float(np.linalg.norm(pv))
     if nrm <= DEGENERATE_TOL:
         raise ValueError("p(v) vanishes; no direction to cancel")

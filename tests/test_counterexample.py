@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,6 @@ from pavekit.counterexample import (
     row_norm_sq,
     verify_orthonormal,
 )
-from pavekit.exact import QuadExt
 from pavekit.linalg import apply_psp
 
 
@@ -73,39 +73,71 @@ def test_basis_index_order_is_a_bijection():
         BasisIndex.a(m * m + 1).validate(m)
 
 
+def entry(f, k, index):
+    """<v_k, e_x> as (rational part, coefficient of sqrt(rho)), undoing the
+    documented scalings R / (m^2 (m+1)) and D / m."""
+    x = index.offset(f.m)
+    return (
+        Fraction(int(f.R[k, x]), f.m * f.m * (f.m + 1)),
+        Fraction(int(f.D[k, x]), f.m),
+    )
+
+
 def test_frame_entries_match_the_displays():
     m = 6
     f = build_frame(m)
-    rho = Fraction(5, 7)
-    assert f.rho == rho
+    assert f.rho == Fraction(5, 7)
+    assert f.R.dtype == f.D.dtype == np.int64
+    assert f.R.shape == f.D.shape == (2 * m + 2, dimension(m))
+    assert not f.R.flags.writeable and not f.D.flags.writeable
     # v_0 is 1/(m+1) on every a and b coordinate
-    assert f.entry(0, BasisIndex.a(1).offset(m)) == Fraction(1, 7)
-    assert f.entry(0, BasisIndex.b(13).offset(m)) == Fraction(1, 7)
-    assert f.entry(0, BasisIndex.c(1, 2).offset(m)) == 0
+    assert entry(f, 0, BasisIndex.a(1)) == (Fraction(1, 7), 0)
+    assert entry(f, 0, BasisIndex.b(13)) == (Fraction(1, 7), 0)
+    assert entry(f, 0, BasisIndex.c(1, 2)) == (0, 0)
     # v_3: +1/(m(m+1)) on c_{j,3} below, -1/(m(m+1)) on c_{3,j} above
-    assert f.entry(3, BasisIndex.c(1, 3).offset(m)) == Fraction(1, 42)
-    assert f.entry(3, BasisIndex.c(3, 5).offset(m)) == Fraction(-1, 42)
+    assert entry(f, 3, BasisIndex.c(1, 3)) == (Fraction(1, 42), 0)
+    assert entry(f, 3, BasisIndex.c(3, 5)) == (Fraction(-1, 42), 0)
     # v_1 on d_{1,1}: (1/m) sqrt((m-1)/(m+1))
-    assert f.entry(1, BasisIndex.d(1, 1).offset(m)) == QuadExt(0, Fraction(1, 6), rho)
-    assert f.entry(1, BasisIndex.a(5).offset(m)) == Fraction(-1, 36 * 7)
-    assert f.entry(1, BasisIndex.b(1).offset(m)) == Fraction(1, 7)
-    assert f.entry(2, BasisIndex.d(1, 1).offset(m)) == 0
+    assert entry(f, 1, BasisIndex.d(1, 1)) == (0, Fraction(1, 6))
+    assert entry(f, 1, BasisIndex.a(5)) == (Fraction(-1, 36 * 7), 0)
+    assert entry(f, 1, BasisIndex.b(1)) == (Fraction(1, 7), 0)
+    assert entry(f, 2, BasisIndex.d(1, 1)) == (0, 0)
     # supports: v_0 on a|b only; v_i misses the other b's entirely
+    support = np.count_nonzero(f.R, axis=1) + np.count_nonzero(f.D, axis=1)
     sizes = block_sizes(m)
-    assert len(f.rows[0]) == sizes["a"] + sizes["b"]
-    assert len(f.rows[1]) == sizes["a"] + 1 + 2 * m + (m + 1) ** 2
+    assert support[0] == sizes["a"] + sizes["b"]
+    assert support[1] == sizes["a"] + 1 + 2 * m + (m + 1) ** 2
+
+
+def test_float_frame_rounds_each_exact_entry():
+    m = 6
+    rows = float_frame(m).rows
+    assert rows[0, BasisIndex.a(1).offset(m)] == 1 / 7
+    assert rows[1, BasisIndex.a(5).offset(m)] == -1 / 252
+    assert rows[1, BasisIndex.b(1).offset(m)] == 1 / 7
+    assert rows[3, BasisIndex.c(3, 5).offset(m)] == -1 / 42
+    assert rows[1, BasisIndex.d(1, 1).offset(m)] == (1 / 6) * math.sqrt(5 / 7)
+    assert rows[2, BasisIndex.d(1, 1).offset(m)] == 0
 
 
 def test_exact_orthonormality():
-    assert verify_orthonormal(build_frame(6))
-    assert verify_orthonormal(build_frame(12))
+    assert verify_orthonormal(build_frame(6)) is True
+    assert verify_orthonormal(build_frame(12)) is True
 
 
 def test_perturbed_frame_fails_verification():
     f = build_frame(6)
-    rows = [dict(r) for r in f.rows]
-    rows[0][BasisIndex.a(1).offset(6)] = QuadExt(Fraction(1, 8), 0, f.rho)
-    assert not verify_orthonormal(ExactFrame(m=6, rho=f.rho, rows=rows))
+    x = BasisIndex.a(1).offset(6)
+    # one unit off in a rational part
+    r = f.R.copy()
+    r[0, x] += 1
+    assert verify_orthonormal(ExactFrame(m=6, R=r, D=f.D)) is False
+    # a radical entry of v_1 moved from d_{1,1} to a_1: D D^T is unchanged,
+    # so only the radical part R D^T + D R^T exposes it
+    d = f.D.copy()
+    d[1, BasisIndex.d(1, 1).offset(6)] = 0
+    d[1, x] = 1
+    assert verify_orthonormal(ExactFrame(m=6, R=f.R, D=d)) is False
 
 
 def test_row_norms_match_block_formulas():
@@ -128,6 +160,11 @@ def test_delta_p_values():
     assert delta_p_exact(6) == Fraction(2, 49)
     assert delta_p_exact(10) == Fraction(2, 121)
     assert delta_p_exact(8) == Fraction(2, 81)
+    # the frame at m=200 has 16 million coordinates; delta_p reads four
+    # columns, so it takes milliseconds and no memory to speak of
+    start = time.perf_counter()
+    assert delta_p_exact(200) == Fraction(2, 201**2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_b_block_strictly_dominates_for_m_at_least_6():

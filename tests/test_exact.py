@@ -1,10 +1,12 @@
+import importlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from pavekit.exact import QuadExt, quad_sign, rational_from_str, rational_to_str
+import pavekit
+from pavekit.counterexample import rational_to_str
 
 
 def test_rational_textbook_arithmetic():
@@ -29,8 +31,8 @@ def test_rational_always_reduced():
 def test_rational_string_round_trip():
     assert rational_to_str(Fraction(2, 49)) == "2/49"
     assert rational_to_str(Fraction(1)) == "1/1"
-    assert rational_from_str("18/6561") == Fraction(2, 729)
-    assert rational_from_str("-3/7") == Fraction(-3, 7)
+    assert Fraction(rational_to_str(Fraction(18, 6561))) == Fraction(2, 729)
+    assert Fraction(rational_to_str(Fraction(-3, 7))) == Fraction(-3, 7)
 
 
 def test_field_axioms_on_random_triples():
@@ -50,100 +52,9 @@ def test_field_axioms_on_random_triples():
             assert a * (1 / a) == 1
 
 
-# -- QuadExt -------------------------------------------------------------------
-
-
-def test_sqrt_times_sqrt_is_radicand():
-    rho = Fraction(5, 7)
-    r = QuadExt.sqrt_of(rho)
-    assert r * r == QuadExt(rho, 0, rho)
-    assert (r * r).as_rational() == rho
-
-
-def test_multiplicative_identity():
-    x = QuadExt(Fraction(3, 4), Fraction(-2, 9), Fraction(1, 2))
-    one = QuadExt(1, 0, Fraction(1, 2))
-    assert one * x == x
-    assert x * one == x
-    assert 1 * x == x
-
-
-def test_conjugate_product():
-    rho = Fraction(1, 2)
-    x = QuadExt(1, 1, rho)
-    y = QuadExt(1, -1, rho)
-    assert x * y == QuadExt(Fraction(1, 2), 0, rho)
-
-
-def test_general_product_formula():
-    rho = Fraction(3, 5)
-    x = QuadExt(Fraction(1, 2), Fraction(2, 3), rho)
-    y = QuadExt(Fraction(-1, 4), Fraction(5, 7), rho)
-    z = x * y
-    assert z.a == Fraction(1, 2) * Fraction(-1, 4) + Fraction(2, 3) * Fraction(5, 7) * rho
-    assert z.b == Fraction(1, 2) * Fraction(5, 7) + Fraction(-1, 4) * Fraction(2, 3)
-
-
-def test_mismatched_radicands_rejected():
-    x = QuadExt(1, 1, Fraction(1, 2))
-    y = QuadExt(1, 1, Fraction(1, 3))
-    with pytest.raises(ValueError):
-        x * y
-    with pytest.raises(ValueError):
-        x + y
-
-
-def test_negative_radicand_rejected():
-    with pytest.raises(ValueError):
-        QuadExt(0, 1, Fraction(-1, 2))
-
-
-def test_values_immutable():
-    x = QuadExt(1, 2, Fraction(1, 2))
-    with pytest.raises(AttributeError):
-        x.a = Fraction(5)
-
-
-def test_sign_examples():
-    half = Fraction(1, 2)
-    assert QuadExt(-1, 1, half).sign() == -1  # sqrt(1/2) < 1
-    assert QuadExt(0, 0, half).sign() == 0
-    assert QuadExt(-1, 2, half).sign() == 1  # 4 * 1/2 = 2 > 1 = a^2
-    assert quad_sign(QuadExt(3, 0, half)) == 1
-    assert quad_sign(QuadExt(0, -2, half)) == -1
-    # exact tie: a^2 == b^2 * rho, opposite pulls
-    assert QuadExt(-2, 1, Fraction(4)).sign() == 0
-
-
-def test_sign_matches_float_on_random_cases():
-    rng = random.Random(99)
-    for _ in range(1000):
-        a = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
-        b = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
-        rho = Fraction(rng.randint(0, 60), rng.randint(1, 40))
-        x = QuadExt(a, b, rho)
-        approx = float(x)
-        if abs(approx) > 1e-6:
-            assert x.sign() == (1 if approx > 0 else -1)
-
-
-def test_rational_equality_ignores_radicand():
-    assert QuadExt(2, 0, Fraction(1, 2)) == QuadExt(2, 0, Fraction(1, 3))
-    assert QuadExt(2, 0, Fraction(1, 2)) == 2
-    assert QuadExt(2, 1, Fraction(1, 2)) != 2
-
-
-def test_as_rational_guards_irrational_values():
-    with pytest.raises(ValueError):
-        QuadExt(1, 1, Fraction(1, 2)).as_rational()
-    assert QuadExt(1, 5, 0).as_rational() == 1
-
-
-def test_serialization_format():
-    x = QuadExt(Fraction(1, 6), Fraction(-1, 6), Fraction(5, 7))
-    assert str(x) == "1/6 + -1/6*sqrt(5/7)"
-
-
-def test_float_conversion():
-    x = QuadExt(0, Fraction(1, 6), Fraction(5, 7))
-    assert abs(float(x) - math.sqrt(5 / 7) / 6) < 1e-15
+def test_public_api_resolves_and_exact_module_is_gone():
+    for name in pavekit.__all__:
+        getattr(pavekit, name)
+    assert len(set(pavekit.__all__)) == len(pavekit.__all__)
+    with pytest.raises(ImportError):
+        importlib.import_module("pavekit.exact")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,29 @@ def test_single_vector_rejects_vector_outside_range():
     p = rank1([1.0, 1.0])
     with pytest.raises(ValueError):
         single_vector_symmetry(p, np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        single_vector_symmetry(p, np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_single_vector_rejects_non_finite_entries(bad):
+    v = np.ones(8)
+    v[3] = bad
+    with pytest.raises(ValueError):
+        single_vector_symmetry(random_projection(8, 4, 1), v)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_single_vector_is_scale_free_at_the_float_extremes(scale):
+    p = random_projection(8, 4, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = single_vector_symmetry(p, scale * np.ones(8))
+    want = single_vector_symmetry(p, np.ones(8))
+    signs = "".join("+" if x > 0 else "-" for x in res.signs.signs)
+    assert signs == "+-------"
+    assert np.array_equal(res.signs.signs, want.signs.signs)
+    assert res.achieved_norm == want.achieved_norm
 
 
 def test_single_vector_projects_and_renormalizes():
