@@ -42,7 +42,15 @@ p s p (v_0) in the frame basis gives coefficients
 where S = sum eps_i = 2*alpha - m^2 and T = sum eps'_i = 2*beta - (2m+1)
 count the +1 signs on the a and b blocks.  ||psp(v_0)||^2 therefore depends
 on s only through (alpha, beta), which collapses the 2^n symmetry search to
-an exact scan of at most (m^2+1)(2m+2) lattice cells.  The scanned minimum
+the lattice 0 <= alpha <= m^2, 0 <= beta <= 2m+1.  For fixed beta, with
+w = 2m+1 and t = 2*beta - w, it is a strictly convex quadratic in alpha
+(leading coefficient 4(m^4 + w) > 0) with vertex
+
+    alpha* = m^2 (m^4 + w - t(m^2 - 1)) / (2 (m^4 + w)),
+
+so a row's integer minimizers lie in {floor(alpha*), floor(alpha*) + 1},
+clamped to [0, m^2], and the exact value-then-lex lattice minimum is the
+least of those 2(2m+2) cells (found with integer floor division).  It
 exceeds (2*delta_p)^2 exactly once m >= 8: no diagonal symmetry gets within
 2*delta_p of cancelling p, refuting the "||psp|| <= 2 delta_p" paving
 conjecture (Conjecture A).  Signs on the c and d blocks never matter because
@@ -52,7 +60,7 @@ v_0 is supported on a and b alone.
 from __future__ import annotations
 
 import math
-import os
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -364,6 +372,13 @@ def _norm_sq_units(m: int, alpha: int, beta: int) -> int:
     )
 
 
+def _count(name: str, x) -> int:
+    # A lattice coordinate as a Python int; numpy integers pass, 1.5 does not.
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+        raise ValueError("%s must be an integer, got %r" % (name, x))
+    return int(x)
+
+
 def psp_v0_norm_sq(m: int, alpha: int, beta: int) -> Fraction:
     """Exact ||psp(v_0)||^2 for any symmetry with +1 counts (alpha, beta).
 
@@ -371,6 +386,7 @@ def psp_v0_norm_sq(m: int, alpha: int, beta: int) -> Fraction:
     (eps'_i = +1 or -1); it depends on the profile only through the counts.
     """
     _check_m(m)
+    alpha, beta = _count("alpha", alpha), _count("beta", beta)
     if not 0 <= alpha <= m * m:
         raise ValueError("alpha must lie in [0, m^2], got %d" % alpha)
     if not 0 <= beta <= 2 * m + 1:
@@ -390,6 +406,7 @@ def branch_lower_bound(m: int, alpha: int) -> float:
     """
     if m < ANALYTIC_MIN_M:
         raise ValueError("the analytic bound assumes m >= %d" % ANALYTIC_MIN_M)
+    alpha = _count("alpha", alpha)
     if not 0 <= 2 * alpha <= m * m:
         raise ValueError("alpha=%d outside the normalized range [0, m^2/2]" % alpha)
     delta = 2.0 / (m + 1) ** 2
@@ -448,50 +465,30 @@ class CertificateReport:
         }
 
 
-def _lattice_min(m: int, alpha_lo: int, alpha_hi: int) -> tuple[int, int, int]:
-    """Minimum of the integer norm units over alpha in [alpha_lo, alpha_hi).
-
-    Returns (units, alpha, beta); tuple order gives the value-then-lex
-    minimum, so reduction over chunks is associative and deterministic.
-    """
-    best: tuple[int, int, int] | None = None
-    for alpha in range(alpha_lo, alpha_hi):
-        for beta in range(0, 2 * m + 2):
-            cell = (_norm_sq_units(m, alpha, beta), alpha, beta)
-            if best is None or cell < best:
-                best = cell
-    if best is None:
-        raise ValueError("empty alpha range [%d, %d)" % (alpha_lo, alpha_hi))
-    return best
+def _lattice_min(m: int) -> tuple[int, int, int]:
+    """Least (units, alpha, beta) over the lattice, from the two candidate
+    cells of each row (see the module docstring)."""
+    m2, w = m * m, 2 * m + 1
+    cells = []
+    for beta in range(w + 1):
+        t = 2 * beta - w
+        floor = m2 * (m2 * m2 + w - t * (m2 - 1)) // (2 * (m2 * m2 + w))
+        for alpha in (floor, floor + 1):
+            alpha = min(max(alpha, 0), m2)
+            cells.append((_norm_sq_units(m, alpha, beta), alpha, beta))
+    return min(cells)
 
 
-def min_over_symmetries_v0(m: int, workers: int = 1) -> CertificateReport:
+def min_over_symmetries_v0(m: int) -> CertificateReport:
     """Exact minimum of ||psp(v_0)||^2 over every diagonal symmetry.
 
-    Scans the full (alpha, beta) lattice -- an exhaustive certificate over
-    all 2^n symmetries, since the norm depends on s only through the counts
-    and the c/d signs are irrelevant.  Ties resolve to the lexicographically
-    smallest (alpha, beta).  With workers > 1 the alpha range is partitioned
-    into at most min(workers, os.cpu_count()) chunks, one process each; the
-    min-reduce is associative, so the report is independent of the
-    partitioning.
+    An exhaustive certificate over all 2^n symmetries, since the norm
+    depends on s only through the counts (alpha, beta) and the c/d signs
+    are irrelevant.  Ties resolve to the lexicographically smallest
+    (alpha, beta).
     """
     _check_m(m)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    n_alpha = m * m + 1
-    workers = min(workers, os.cpu_count() or 1)
-    if workers == 1 or n_alpha < 2 * workers:
-        best = _lattice_min(m, 0, n_alpha)
-    else:
-        bounds = [round(i * n_alpha / workers) for i in range(workers + 1)]
-        chunks = [(m, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            best = min(pool.map(_lattice_min_star, chunks))
-
-    units, alpha, beta = best
+    units, alpha, beta = _lattice_min(m)
     min_norm_sq = Fraction(units, m**4 * (m + 1) ** 4)
     delta = delta_p_exact(m)
     verdict = FALSIFIES_A if min_norm_sq > 4 * delta * delta else INCONCLUSIVE
@@ -504,10 +501,6 @@ def min_over_symmetries_v0(m: int, workers: int = 1) -> CertificateReport:
         branch_bound=branch_bound_overall(m) if m >= ANALYTIC_MIN_M else None,
         verdict=verdict,
     )
-
-
-def _lattice_min_star(args: tuple[int, int, int]) -> tuple[int, int, int]:
-    return _lattice_min(*args)
 
 
 # -- bridges to the floating-point side ----------------------------------------

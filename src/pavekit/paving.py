@@ -120,14 +120,18 @@ def brute_force_min_vector(
     """Exhaustive minimum of ||psp(v)|| (a vector norm, not the operator norm).
 
     Vectorized over all 2^(n-1) sign patterns with the first sign pinned +1;
-    the first minimizer in binary-counting order is returned.
+    the first minimizer in binary-counting order is returned.  A v with a
+    NaN or infinite entry raises ``ValueError``.
     """
     n = p.n
     if n < 1:
         raise ValueError("projection must have n >= 1")
     if n > max_n:
         raise BruteForceCapError(n, max_n)
-    pv = p.apply(np.asarray(v, dtype=float))
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("v has a NaN or infinite entry")
+    pv = p.apply(v)
     count = 1 << (n - 1)
     bits = (np.arange(count)[:, None] >> np.arange(max(n - 1, 1))[None, :]) & 1
     signs = np.ones((count, n))

@@ -84,6 +84,13 @@ def test_certify_byte_identical_across_runs_and_workers():
     assert json.loads(pooled.stdout)["results"] == json.loads(base)["results"]
 
 
+def test_certify_rejects_zero_workers():
+    proc = run_cli("certify", "--m", "6..6", "--workers", "0")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "workers must be >= 1" in proc.stderr
+
+
 def test_bruteforce_record():
     proc = run_cli("bruteforce", "--n", "10", "--rank", "5", "--seed", "7")
     assert proc.returncode == 0

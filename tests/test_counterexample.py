@@ -279,8 +279,9 @@ def test_certificate_verdict_is_exact_comparison():
 
 
 def test_lattice_minimum_against_direct_scan():
-    # independent oracle: rebuild the minimum from psp_v0_norm_sq alone
-    for m in (6, 8):
+    # independent oracle: rebuild the minimum from psp_v0_norm_sq alone, over
+    # every cell of the lattice
+    for m in [*range(2, 25), 40]:
         cells = [
             (psp_v0_norm_sq(m, a, b), a, b)
             for a in range(m * m + 1)
@@ -288,22 +289,33 @@ def test_lattice_minimum_against_direct_scan():
         ]
         value, alpha, beta = min(cells)
         rep = min_over_symmetries_v0(m)
-        assert rep.min_norm_sq == value
-        assert rep.argmin == (alpha, beta)
+        assert rep.min_norm_sq == value, m
+        assert rep.argmin == (alpha, beta), m
 
 
-def test_workers_do_not_change_the_report():
-    a = min_over_symmetries_v0(8, workers=1)
-    b = min_over_symmetries_v0(8, workers=4)
-    assert a == b
+def test_lattice_coordinates_must_be_integers():
+    for alpha, beta in ((1.5, 2), (2, 2.5), (2.0, 2), (True, 2)):
+        with pytest.raises(ValueError):
+            psp_v0_norm_sq(8, alpha, beta)
+    with pytest.raises(ValueError):
+        branch_lower_bound(6, 1.5)
+    # numpy integers are integers
+    assert psp_v0_norm_sq(8, np.int64(32), np.int32(8)) == Fraction(2, 729)
+    assert branch_lower_bound(6, np.int64(9)) == branch_lower_bound(6, 9)
+    # and are computed as Python ints: no int64 wraparound at large m
+    assert psp_v0_norm_sq(1000, np.int64(0), np.int64(0)) == 1
 
 
-def test_pool_size_is_clamped_to_cpu_count(pool_sizes):
-    # the fixture reports 3 CPUs and runs chunks inline
-    ref = min_over_symmetries_v0(6, workers=1)
-    assert min_over_symmetries_v0(6, workers=10_000) == ref
-    assert min_over_symmetries_v0(6, workers=2) == ref
-    assert pool_sizes == [3, 2]
+def test_certificate_at_large_m_is_fast_and_exact():
+    start = time.perf_counter()
+    rep = min_over_symmetries_v0(1000)
+    assert time.perf_counter() - start < 2.0
+    assert rep.verdict == FALSIFIES_A
+    alpha, beta = rep.argmin
+    assert rep.min_norm_sq == psp_v0_norm_sq(1000, alpha, beta)
+    # no neighbouring cell does better
+    for a, b in ((alpha - 1, beta), (alpha + 1, beta), (alpha, beta - 1), (alpha, beta + 1)):
+        assert psp_v0_norm_sq(1000, a, b) >= rep.min_norm_sq
 
 
 def test_branch_bound_examples():

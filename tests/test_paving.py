@@ -182,6 +182,13 @@ def test_brute_force_min_vector_consistency():
         brute_force_min_vector(p, np.ones(3), max_n=2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_brute_force_min_vector_rejects_non_finite_entries(bad):
+    p = random_projection(6, 3, 1)
+    with pytest.raises(ValueError):
+        brute_force_min_vector(p, [bad, 1, 1, 1, 1, 1])
+
+
 def test_conjectureA_examples():
     rec = conjectureA_test(rank1([1.0, 1.0, 1.0]), seed=7)
     assert rec.delta_p == pytest.approx(1.0 / 3.0)
