@@ -6,8 +6,8 @@ Library layout:
   and the symmetric operator norm.
 - ``pavekit.counterexample``: the structured projection whose compressions
   exceed 2*delta_p for every diagonal symmetry, stored exactly as two
-  integer arrays, plus its exact certificate in rational arithmetic
-  (``fractions.Fraction``).
+  integer arrays with one column per coordinate class, plus its exact
+  certificate in rational arithmetic (``fractions.Fraction``).
 - ``pavekit.rearrange``: zero-sum rearrangement and the single-vector
   symmetry achieving ||psp(v)|| <= sqrt(2*delta_p + 3*delta_p^2).
 - ``pavekit.paving``: brute-force searches, conjecture instance tests, and
@@ -24,8 +24,6 @@ from .linalg import (
     SymmetricMatrix,
     apply_psp,
     compress_psp,
-    gram,
-    materialize,
     operator_norm,
     random_projection,
 )
@@ -73,8 +71,6 @@ __all__ = [
     "SymmetricMatrix",
     "apply_psp",
     "compress_psp",
-    "gram",
-    "materialize",
     "operator_norm",
     "random_projection",
     "BasisIndex",

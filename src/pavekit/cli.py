@@ -141,6 +141,10 @@ def cmd_bruteforce(args) -> int:
     }
     if args.n < 1:
         raise ValueError("n must be >= 1")
+    # Before the draw: Gram-Schmidt on a huge n would run long or exhaust
+    # memory only to be refused by brute_force_min.
+    if args.n > args.max_n:
+        raise BruteForceCapError(args.n, args.max_n)
     p = random_projection(args.n, args.rank, args.seed)
     _progress("[bruteforce] walking %d symmetries" % (1 << (args.n - 1)))
     record = conjectureA_test(p, seed=args.seed, max_n=args.max_n)

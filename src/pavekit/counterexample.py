@@ -21,15 +21,25 @@ and, for 1 <= i <= 2m+1,
           + sum_j (1/m) sqrt((m-1)/(m+1)) d_{ij}.
 
 Every entry is rational except on the d block, where entries are rational
-multiples of sqrt(rho), rho = (m-1)/(m+1).  ``ExactFrame`` therefore stores
-the frame as two integer arrays R and D, one row per vector, with
+multiples of sqrt(rho), rho = (m-1)/(m+1).  The frame has few distinct
+columns: every a_j carries the same column, and so does every d_{ij} of one
+i.  ``ExactFrame`` therefore stores one column per coordinate class, in the
+canonical order
+
+    a  (multiplicity m^2),
+    b_1, ..., b_{2m+1},  then the c_{ij} in lexicographic order  (1 each),
+    d_1, ..., d_{2m+1}  (multiplicity (m+1)^2 each),
+
+as two integer arrays R and D, one row per vector, with
 
     <v_k, e_x> = R[k, x] / (m^2 (m+1)) + D[k, x] * sqrt(rho) / m.
 
-Read off the displays: R is m^2 on the a and b coordinates of v_0; on v_i,
-R is -1 on every a_j, m^2 on b_i, +m on c_{ji} (j < i) and -m on c_{ij}
-(j > i), and D is 1 on every d_{ij}.  Orthonormality, the row norms and
-delta_p are decided in integer and rational arithmetic on these arrays.
+Repeating each class column by its multiplicity gives the dense frame over
+the a|b|c|d coordinates in canonical order (the d_{ij} lexicographic).
+Read off the displays: R is m^2 on the a and b classes of v_0; on v_i, R is
+-1 on the a class, m^2 on b_i, +m on c_{ji} (j < i) and -m on c_{ij}
+(j > i), and D is 1 on d_i.  Orthonormality, the row norms and delta_p are
+decided in integer and rational arithmetic on these arrays.
 The largest diagonal entry of p is delta_p = 2/(m+1)^2 (the b-block value)
 for m >= 6.
 
@@ -99,30 +109,11 @@ def block_sizes(m: int) -> dict[str, int]:
     }
 
 
-def block_slices(m: int) -> dict[str, slice]:
-    """Slices of the four blocks inside the canonical a|b|c|d coordinate order."""
-    sizes = block_sizes(m)
-    out: dict[str, slice] = {}
-    start = 0
-    for name in ("a", "b", "c", "d"):
-        out[name] = slice(start, start + sizes[name])
-        start += sizes[name]
-    return out
-
-
-def _pair_rank(m: int, i: int, j: int) -> int:
-    # Lexicographic rank of the pair (i, j), 1 <= i < j <= 2m+1.
-    w = 2 * m + 1
-    return (i - 1) * w - i * (i - 1) // 2 + (j - i - 1)
-
-
 @dataclass(frozen=True)
 class BasisIndex:
-    """A coordinate of the ambient space: block 'a'/'b'/'c'/'d' plus indices.
-
-    The canonical order (a block, b block, c block lexicographic, d block
-    lexicographic) makes ``offset`` a bijection onto {0, ..., dim-1}.
-    """
+    """A coordinate of the ambient space: block 'a'/'b'/'c'/'d' plus indices
+    (a_i, b_i, c_{ij} with i < j, d_{ij}), numbered from 1 as in the module
+    docstring."""
 
     block: str
     i: int
@@ -162,47 +153,24 @@ class BasisIndex:
         if not ok:
             raise ValueError("index %r out of bounds for m=%d" % (self, m))
 
-    def offset(self, m: int) -> int:
-        """Position of this coordinate in the canonical total order."""
-        self.validate(m)
-        sl = block_slices(m)
-        if self.block == "a":
-            return self.i - 1
-        if self.block == "b":
-            return sl["b"].start + self.i - 1
-        if self.block == "c":
-            return sl["c"].start + _pair_rank(m, self.i, self.j)
-        return sl["d"].start + (self.i - 1) * (m + 1) ** 2 + (self.j - 1)
-
-
-def all_indices(m: int):
-    """Every BasisIndex in canonical order."""
-    _check_m(m)
-    w = 2 * m + 1
-    for i in range(1, m * m + 1):
-        yield BasisIndex.a(i)
-    for i in range(1, w + 1):
-        yield BasisIndex.b(i)
-    for i in range(1, w + 1):
-        for j in range(i + 1, w + 1):
-            yield BasisIndex.c(i, j)
-    for i in range(1, w + 1):
-        for j in range(1, (m + 1) ** 2 + 1):
-            yield BasisIndex.d(i, j)
-
 
 @dataclass(frozen=True, eq=False)
 class ExactFrame:
-    """The 2m+2 frame vectors with exact entries, as two integer arrays.
+    """The 2m+2 frame vectors with exact entries, one column per coordinate
+    class (see the module docstring for the order).
 
-    Entry (k, x) of v_k is R[k, x] / (m^2 (m+1)) + D[k, x] * sqrt(rho) / m
-    with rho = (m-1)/(m+1); ``R`` and ``D`` are int64 arrays of shape
-    (2m+2, dim), read-only when they come from ``build_frame``.
+    Entry (k, x) of v_k on a coordinate of class x is
+    R[k, x] / (m^2 (m+1)) + D[k, x] * sqrt(rho) / m with rho = (m-1)/(m+1),
+    and ``mult[x]`` coordinates share that column, so
+    ``np.repeat(R, mult, axis=1)`` is the dense frame's R over all
+    2m^3 + 8m^2 + 7m + 2 coordinates (likewise D).  ``R``, ``D`` and ``mult``
+    are int64 arrays, read-only when they come from ``build_frame``.
     """
 
     m: int
     R: np.ndarray
     D: np.ndarray
+    mult: np.ndarray
 
     @property
     def rho(self) -> Fraction:
@@ -213,64 +181,88 @@ class ExactFrame:
         return self.R.shape[0]
 
 
-def _columns(m: int, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R and D of the frame restricted to the coordinates at ``offsets``,
-    read off the displays of v_0 and v_i in the module docstring."""
+def _class_of(m: int, index: BasisIndex) -> int:
+    # The class number of a coordinate in the canonical class order.
+    index.validate(m)
     w = 2 * m + 1
-    sl = block_slices(m)
-    cols = np.arange(offsets.size)
-    r = np.zeros((w + 1, offsets.size), dtype=np.int64)
+    if index.block == "a":
+        return 0
+    if index.block == "b":
+        return index.i
+    if index.block == "c":
+        # 1 + w + the lexicographic rank of (i, j) among the pairs
+        i, j = index.i, index.j
+        return 1 + w + (i - 1) * w - i * (i - 1) // 2 + (j - i - 1)
+    return 1 + w + w * (w - 1) // 2 + index.i - 1
+
+
+def _columns(m: int, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R and D of the class columns numbered ``classes``, read off the
+    displays of v_0 and v_i in the module docstring."""
+    w = 2 * m + 1
+    c_start, d_start = 1 + w, 1 + w + w * (w - 1) // 2
+    cols = np.arange(classes.size)
+    r = np.zeros((w + 1, classes.size), dtype=np.int64)
     d = np.zeros_like(r)
     # a_j: 1/(m+1) on v_0, -1/(m^2(m+1)) on every v_i
-    on = offsets < sl["a"].stop
+    on = classes == 0
     r[0, on] = m * m
     r[1:, on] = -1
-    # b_i: 1/(m+1) on v_0 and on v_i
-    on = (offsets >= sl["b"].start) & (offsets < sl["b"].stop)
+    # b_i (class i): 1/(m+1) on v_0 and on v_i
+    on = (classes >= 1) & (classes < c_start)
     r[0, on] = m * m
-    r[1 + offsets[on] - sl["b"].start, cols[on]] = m * m
+    r[classes[on], cols[on]] = m * m
     # c_{ij}, i < j: +1/(m(m+1)) on v_j, -1/(m(m+1)) on v_i; the pairs in
-    # lexicographic order, as _pair_rank counts them
-    on = (offsets >= sl["c"].start) & (offsets < sl["c"].stop)
+    # lexicographic order, as _class_of counts them
+    on = (classes >= c_start) & (classes < d_start)
     lo, hi = np.triu_indices(w, 1)
-    pair = offsets[on] - sl["c"].start
+    pair = classes[on] - c_start
     r[1 + hi[pair], cols[on]] = m
     r[1 + lo[pair], cols[on]] = -m
-    # d_{ij}: (1/m) sqrt(rho) on v_i
-    on = offsets >= sl["d"].start
-    d[1 + (offsets[on] - sl["d"].start) // (m + 1) ** 2, cols[on]] = 1
+    # d_{ij} (class d_i): (1/m) sqrt(rho) on v_i
+    on = classes >= d_start
+    d[1 + classes[on] - d_start, cols[on]] = 1
     return r, d
 
 
 def build_frame(m: int) -> ExactFrame:
     """Construct the 2m+2 exact frame vectors spanning the projection."""
     _check_m(m)
-    r, d = _columns(m, np.arange(dimension(m)))
-    r.setflags(write=False)
-    d.setflags(write=False)
-    return ExactFrame(m=m, R=r, D=d)
+    w = 2 * m + 1
+    # a, then b_1..b_w and the c pairs once each, then d_1..d_w
+    mult = np.ones(1 + w + w * (w - 1) // 2 + w, dtype=np.int64)
+    mult[0] = m * m
+    mult[-w:] = (m + 1) ** 2
+    r, d = _columns(m, np.arange(mult.size))
+    for a in (r, d, mult):
+        a.setflags(write=False)
+    return ExactFrame(m=m, R=r, D=d, mult=mult)
 
 
 def verify_orthonormal(f: ExactFrame) -> bool:
     """Exact check that the frame's Gram matrix is the identity.
 
-    With L = m^2 (m+1), the Gram matrix is
+    With L = m^2 (m+1) and W = diag(mult), the Gram matrix is
 
-        R R^T / L^2 + rho D D^T / m^2 + (R D^T + D R^T) sqrt(rho) / (L m).
+        R W R^T / L^2 + rho D W D^T / m^2 + (R W D^T + D W R^T) sqrt(rho) / (L m).
 
     rho is never the square of a rational for m >= 2, so it equals I exactly
     when the radical part vanishes and, scaled by L^2, the rational part
-    R R^T + (m-1) m^2 (m+1) D D^T equals L^2 I.
+    R W R^T + (m-1) m^2 (m+1) D W D^T equals L^2 I.
     """
-    # int64 cannot overflow on a built frame: |R| <= m^2 and |D| <= 1, so
-    # every Gram sum stays below about 2 m^6, far below 2^63 at every m whose
-    # dense frame fits in memory (m=40 already takes 185 MB).
+    # int64 cannot overflow on a built frame: a term R[k,x] mult[x] R[l,x] is
+    # at most m^6 (the a class of v_0), and by Cauchy-Schwarz each weighted
+    # sum is at most L^2 = m^4 (m+1)^2, the weighted square sum of v_0's R
+    # row; D's rows weigh (m+1)^2, so the scaled D sum stays below L^2 too.
+    # 2 L^2 < 2^63 up to m = 1200, far past any m whose class columns fit in
+    # memory (R alone takes 260 MB at m=200).
     m, r, d = f.m, f.R, f.D
+    rm = r * f.mult
     scale = m * m * (m + 1)
-    cross = r @ d.T
+    cross = rm @ d.T
     if np.any(cross + cross.T):
         return False
-    gram = r @ r.T + (m - 1) * m * m * (m + 1) * (d @ d.T)
+    gram = rm @ r.T + (m - 1) * m * m * (m + 1) * ((d * f.mult) @ d.T)
     return bool(np.array_equal(gram, scale * scale * np.eye(f.rank, dtype=np.int64)))
 
 
@@ -285,11 +277,11 @@ def row_norm_sq(m: int, index: BasisIndex) -> Fraction:
         c: 2/(m^2 (m+1)^2)
         d: (m-1)/(m^2 (m+1))
 
-    Only the column at x is built.  A coordinate's entries are rational on
-    the a, b and c blocks and pure multiples of sqrt(rho) on the d block, so
-    the squares never carry a radical.
+    Only the class column of x is built.  A coordinate's entries are
+    rational on the a, b and c blocks and pure multiples of sqrt(rho) on the
+    d block, so the squares never carry a radical.
     """
-    r, d = _columns(m, np.array([index.offset(m)]))
+    r, d = _columns(m, np.array([_class_of(m, index)]))
     scale = m * m * (m + 1)
     return Fraction(int(r[:, 0] @ r[:, 0]), scale * scale) + Fraction(
         (m - 1) * int(d[:, 0] @ d[:, 0]), (m + 1) * m * m
@@ -514,7 +506,8 @@ def float_frame(m: int) -> OrthonormalFrame:
     """
     f = build_frame(m)
     radical = (1.0 / m) * math.sqrt((m - 1) / (m + 1))
-    return OrthonormalFrame(f.R / (m * m * (m + 1)) + f.D * radical)
+    columns = f.R / (m * m * (m + 1)) + f.D * radical
+    return OrthonormalFrame(np.repeat(columns, f.mult, axis=1))
 
 
 def float_projection(m: int) -> Projection:

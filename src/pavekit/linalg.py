@@ -199,17 +199,6 @@ class Symmetry:
 # -- operations ---------------------------------------------------------------
 
 
-def gram(frame: OrthonormalFrame) -> SymmetricMatrix:
-    """r x r matrix of pairwise inner products of the frame rows."""
-    return SymmetricMatrix(frame.rows @ frame.rows.T)
-
-
-def materialize(p: Projection) -> SymmetricMatrix:
-    """The dense n x n matrix P = sum_k v_k v_k^T = F^T F."""
-    f = p.frame.rows
-    return SymmetricMatrix(f.T @ f)
-
-
 def compress_psp(p: Projection, s: Symmetry) -> SymmetricMatrix:
     """The r x r compression M = F S F^T with S = diag(signs).
 

@@ -37,6 +37,9 @@ SCAN_MODES = ("conjectureA", "balance")
 # Norms within TIE_TOL of the minimum tie.  Norms of compressions of a
 # projection are at most 1, so this is a few ulps, far below CONJECTURE_TOL.
 TIE_TOL = 8 * float(np.finfo(float).eps)
+# Sign patterns per batch in brute_force_min_vector: about 2.5 MB of signs
+# at n = 20, whatever the total count.
+VECTOR_CHUNK = 1 << 14
 
 
 class BruteForceCapError(ValueError):
@@ -119,9 +122,10 @@ def brute_force_min_vector(
 ) -> tuple[float, Symmetry]:
     """Exhaustive minimum of ||psp(v)|| (a vector norm, not the operator norm).
 
-    Vectorized over all 2^(n-1) sign patterns with the first sign pinned +1;
-    the first minimizer in binary-counting order is returned.  A v with a
-    NaN or infinite entry raises ``ValueError``.
+    Vectorized over the 2^(n-1) sign patterns with the first sign pinned +1,
+    VECTOR_CHUNK patterns at a time so memory stays bounded; the first
+    minimizer in binary-counting order is returned.  A v with a NaN or
+    infinite entry raises ``ValueError``.
     """
     n = p.n
     if n < 1:
@@ -133,14 +137,18 @@ def brute_force_min_vector(
         raise ValueError("v has a NaN or infinite entry")
     pv = p.apply(v)
     count = 1 << (n - 1)
-    bits = (np.arange(count)[:, None] >> np.arange(max(n - 1, 1))[None, :]) & 1
-    signs = np.ones((count, n))
-    if n > 1:
-        signs[:, 1:] = 1.0 - 2.0 * bits[:, : n - 1]
-    compressed = (signs * pv[None, :]) @ p.frame.rows.T
-    norms = np.linalg.norm(compressed, axis=1)
-    at = int(np.argmin(norms))
-    return float(norms[at]), Symmetry(signs[at].astype(np.int64))
+    shifts = np.arange(n - 1)
+    best_norm, best_signs = math.inf, None
+    for start in range(0, count, VECTOR_CHUNK):
+        codes = np.arange(start, min(start + VECTOR_CHUNK, count))
+        signs = np.ones((codes.size, n))
+        signs[:, 1:] = 1.0 - 2.0 * ((codes[:, None] >> shifts) & 1)
+        norms = np.linalg.norm((signs * pv) @ p.frame.rows.T, axis=1)
+        at = int(np.argmin(norms))
+        # strict <: an equal norm in a later chunk comes later in the order
+        if best_signs is None or norms[at] < best_norm:
+            best_norm, best_signs = float(norms[at]), signs[at]
+    return best_norm, Symmetry(best_signs.astype(np.int64))
 
 
 class PavingPair(NamedTuple):

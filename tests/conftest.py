@@ -4,6 +4,16 @@ import os
 import pytest
 
 
+def pytest_configure(config):
+    # The CLI tests run `python -m pavekit` in a child process, which reads
+    # PYTHONPATH but not pytest's `pythonpath` setting; putting src/ on it
+    # lets a plain `python -m pytest` test this checkout.
+    src = str(config.rootpath / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Replace ProcessPoolExecutor with an inline stand-in on a 3-CPU host.

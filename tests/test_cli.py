@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+import time
+
+from pavekit import cli
 
 
 def run_cli(*args):
@@ -105,6 +108,15 @@ def test_bruteforce_cap_refusal_names_flag():
     proc = run_cli("bruteforce", "--n", "30", "--rank", "5", "--seed", "7")
     assert proc.returncode == 1
     assert "--max-n" in proc.stderr
+
+
+def test_bruteforce_cap_checked_before_the_draw(capsys):
+    # refused before random_projection: Gram-Schmidt at n=5000 takes seconds
+    start = time.perf_counter()
+    assert cli.main(["bruteforce", "--n", "5000", "--rank", "2500", "--seed", "1"]) == 1
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == "" and "--max-n" in out.err
 
 
 def test_balance_report_respects_bound():

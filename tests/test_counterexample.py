@@ -11,9 +11,7 @@ from pavekit.counterexample import (
     BasisIndex,
     ExactFrame,
     SignProfile,
-    all_indices,
     block_sizes,
-    block_slices,
     branch_bound_overall,
     branch_lower_bound,
     build_frame,
@@ -61,83 +59,92 @@ def test_block_sizes_sum_to_dimension():
         assert sum(block_sizes(m).values()) == dimension(m)
 
 
-def test_basis_index_order_is_a_bijection():
-    m = 3
-    offsets = [ix.offset(m) for ix in all_indices(m)]
-    assert offsets == list(range(dimension(m)))
-    sl = block_slices(m)
-    assert sl["a"].start == 0 and sl["d"].stop == dimension(m)
-    with pytest.raises(ValueError):
-        BasisIndex.c(3, 3).validate(m)
-    with pytest.raises(ValueError):
-        BasisIndex.a(m * m + 1).validate(m)
-
-
-def entry(f, k, index):
-    """<v_k, e_x> as (rational part, coefficient of sqrt(rho)), undoing the
-    documented scalings R / (m^2 (m+1)) and D / m."""
-    x = index.offset(f.m)
+def coordinates(m):
+    """Every coordinate in the canonical a|b|c|d order, c and d lexicographic."""
+    w = 2 * m + 1
     return (
-        Fraction(int(f.R[k, x]), f.m * f.m * (f.m + 1)),
-        Fraction(int(f.D[k, x]), f.m),
+        [BasisIndex.a(i) for i in range(1, m * m + 1)]
+        + [BasisIndex.b(i) for i in range(1, w + 1)]
+        + [BasisIndex.c(i, j) for i in range(1, w + 1) for j in range(i + 1, w + 1)]
+        + [BasisIndex.d(i, j) for i in range(1, w + 1) for j in range(1, (m + 1) ** 2 + 1)]
     )
 
 
+def displayed_entry(m, k, x):
+    """<v_k, e_x> as (rational part, coefficient of sqrt(rho)), written down
+    from the displays of v_0 and v_i in the module docstring."""
+    if k == 0:
+        return (Fraction(1, m + 1) if x.block in "ab" else 0), 0
+    if x.block == "a":
+        return Fraction(-1, m * m * (m + 1)), 0
+    if x.block == "b":
+        return (Fraction(1, m + 1) if x.i == k else 0), 0
+    if x.block == "c":
+        if x.j == k:  # c_{jk} with j < k
+            return Fraction(1, m * (m + 1)), 0
+        if x.i == k:  # c_{kj} with j > k
+            return Fraction(-1, m * (m + 1)), 0
+        return 0, 0
+    return 0, (Fraction(1, m) if x.i == k else 0)
+
+
 def test_frame_entries_match_the_displays():
-    m = 6
-    f = build_frame(m)
+    # independent oracle: every entry of the expanded frame, undoing the
+    # documented scalings R / (m^2 (m+1)) and D / m, against the displays
+    for m in range(2, 7):
+        f = build_frame(m)
+        r, d = np.repeat(f.R, f.mult, axis=1), np.repeat(f.D, f.mult, axis=1)
+        coords = coordinates(m)
+        assert r.shape == d.shape == (2 * m + 2, len(coords)) == (2 * m + 2, dimension(m))
+        for k in range(2 * m + 2):
+            for x, ix in enumerate(coords):
+                got = (Fraction(int(r[k, x]), m * m * (m + 1)), Fraction(int(d[k, x]), m))
+                assert got == displayed_entry(m, k, ix), (m, k, ix)
+    # one column per class: a, b_1..b_13, 78 c pairs, d_1..d_13 at m = 6
+    f = build_frame(6)
     assert f.rho == Fraction(5, 7)
-    assert f.R.dtype == f.D.dtype == np.int64
-    assert f.R.shape == f.D.shape == (2 * m + 2, dimension(m))
-    assert not f.R.flags.writeable and not f.D.flags.writeable
-    # v_0 is 1/(m+1) on every a and b coordinate
-    assert entry(f, 0, BasisIndex.a(1)) == (Fraction(1, 7), 0)
-    assert entry(f, 0, BasisIndex.b(13)) == (Fraction(1, 7), 0)
-    assert entry(f, 0, BasisIndex.c(1, 2)) == (0, 0)
-    # v_3: +1/(m(m+1)) on c_{j,3} below, -1/(m(m+1)) on c_{3,j} above
-    assert entry(f, 3, BasisIndex.c(1, 3)) == (Fraction(1, 42), 0)
-    assert entry(f, 3, BasisIndex.c(3, 5)) == (Fraction(-1, 42), 0)
-    # v_1 on d_{1,1}: (1/m) sqrt((m-1)/(m+1))
-    assert entry(f, 1, BasisIndex.d(1, 1)) == (0, Fraction(1, 6))
-    assert entry(f, 1, BasisIndex.a(5)) == (Fraction(-1, 36 * 7), 0)
-    assert entry(f, 1, BasisIndex.b(1)) == (Fraction(1, 7), 0)
-    assert entry(f, 2, BasisIndex.d(1, 1)) == (0, 0)
-    # supports: v_0 on a|b only; v_i misses the other b's entirely
-    support = np.count_nonzero(f.R, axis=1) + np.count_nonzero(f.D, axis=1)
-    sizes = block_sizes(m)
-    assert support[0] == sizes["a"] + sizes["b"]
-    assert support[1] == sizes["a"] + 1 + 2 * m + (m + 1) ** 2
+    assert f.R.dtype == f.D.dtype == f.mult.dtype == np.int64
+    assert f.R.shape == f.D.shape == (14, 1 + 13 + 78 + 13)
+    assert f.mult.tolist() == [36] + [1] * (13 + 78) + [49] * 13
+    assert not (f.R.flags.writeable or f.D.flags.writeable or f.mult.flags.writeable)
 
 
 def test_float_frame_rounds_each_exact_entry():
     m = 6
     rows = float_frame(m).rows
-    assert rows[0, BasisIndex.a(1).offset(m)] == 1 / 7
-    assert rows[1, BasisIndex.a(5).offset(m)] == -1 / 252
-    assert rows[1, BasisIndex.b(1).offset(m)] == 1 / 7
-    assert rows[3, BasisIndex.c(3, 5).offset(m)] == -1 / 42
-    assert rows[1, BasisIndex.d(1, 1).offset(m)] == (1 / 6) * math.sqrt(5 / 7)
-    assert rows[2, BasisIndex.d(1, 1).offset(m)] == 0
+    at = {ix: x for x, ix in enumerate(coordinates(m))}
+    assert rows[0, at[BasisIndex.a(1)]] == 1 / 7
+    assert rows[1, at[BasisIndex.a(5)]] == -1 / 252
+    assert rows[1, at[BasisIndex.b(1)]] == 1 / 7
+    assert rows[3, at[BasisIndex.c(3, 5)]] == -1 / 42
+    assert rows[1, at[BasisIndex.d(1, 1)]] == (1 / 6) * math.sqrt(5 / 7)
+    assert rows[2, at[BasisIndex.d(1, 1)]] == 0
 
 
 def test_exact_orthonormality():
     assert verify_orthonormal(build_frame(6)) is True
     assert verify_orthonormal(build_frame(12)) is True
+    start = time.perf_counter()
+    assert verify_orthonormal(build_frame(40)) is True
+    assert time.perf_counter() - start < 1.0
 
 
 def test_perturbed_frame_fails_verification():
-    f = build_frame(6)
-    x = BasisIndex.a(1).offset(6)
+    m, w = 6, 13
+    f = build_frame(m)
     # one unit off in a rational part
     r = f.R.copy()
-    r[0, x] += 1
-    assert verify_orthonormal(ExactFrame(m=6, R=r, D=f.D)) is False
-    # a radical entry of v_1 moved from d_{1,1} to a_1: D D^T is unchanged,
-    # so only the radical part R D^T + D R^T exposes it
+    r[0, 0] += 1
+    assert verify_orthonormal(ExactFrame(m=m, R=r, D=f.D, mult=f.mult)) is False
+    # v_1's radical entry moved from its d_1 class onto the a class and every
+    # b class, whose multiplicities also sum to (m+1)^2: the weighted
+    # D diag(mult) D^T is unchanged, so only the radical part exposes it
+    d_1 = len(f.mult) - w
     d = f.D.copy()
-    d[1, BasisIndex.d(1, 1).offset(6)] = 0
-    d[1, x] = 1
-    assert verify_orthonormal(ExactFrame(m=6, R=f.R, D=d)) is False
+    d[1, d_1] = 0
+    d[1, : 1 + w] = 1
+    assert np.array_equal((d * f.mult) @ d.T, (f.D * f.mult) @ f.D.T)
+    assert verify_orthonormal(ExactFrame(m=m, R=f.R, D=d, mult=f.mult)) is False
 
 
 def test_row_norms_match_block_formulas():
@@ -154,6 +161,9 @@ def test_row_norm_values_at_m6():
     assert row_norm_sq(6, BasisIndex.d(1, 1)) == Fraction(5, 252)
     # 1/49 + 13/(1296*49), reduced
     assert row_norm_sq(6, BasisIndex.a(1)) == Fraction(1309, 63504)
+    for bad in (BasisIndex.c(3, 3), BasisIndex.a(37), BasisIndex.d(14, 1)):
+        with pytest.raises(ValueError):
+            row_norm_sq(6, bad)
 
 
 def test_delta_p_values():

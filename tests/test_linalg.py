@@ -10,8 +10,6 @@ from pavekit.linalg import (
     SymmetricMatrix,
     apply_psp,
     compress_psp,
-    gram,
-    materialize,
     operator_norm,
     random_projection,
 )
@@ -66,25 +64,6 @@ def test_symmetry_requires_integral_unit_signs():
         with pytest.raises(ValueError):
             Symmetry(bad)
     assert Symmetry([]).n == 0
-
-
-def test_gram_examples():
-    e = OrthonormalFrame(np.eye(3)[:2])
-    assert np.allclose(gram(e).mat, np.eye(2))
-    single = OrthonormalFrame(np.array([[3.0, 4.0]]) / 5.0)
-    assert np.allclose(gram(single).mat, [[1.0]])
-    # repeated rows are not a legal frame, but the raw Gram op still works
-    rows = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert np.allclose(rows @ rows.T, [[1, 1], [1, 1]])
-
-
-def test_materialize_examples():
-    p = rank1([1.0, 1.0])
-    assert np.allclose(materialize(p).mat, [[0.5, 0.5], [0.5, 0.5]])
-    full = Projection(OrthonormalFrame(np.eye(4)))
-    assert np.allclose(materialize(full).mat, np.eye(4))
-    zero = Projection(OrthonormalFrame(np.zeros((0, 3))))
-    assert np.allclose(materialize(zero).mat, np.zeros((3, 3)))
 
 
 def test_compress_psp_examples():
@@ -155,8 +134,8 @@ def test_apply_psp_examples():
 def test_random_projection_edges_and_determinism():
     z = random_projection(4, 0, seed=9)
     assert z.rank == 0
-    full = random_projection(4, 4, seed=9)
-    assert np.abs(materialize(full).mat - np.eye(4)).max() < 1e-9
+    full = random_projection(4, 4, seed=9).frame.rows
+    assert np.abs(full.T @ full - np.eye(4)).max() < 1e-9
     a = random_projection(8, 3, seed=42)
     b = random_projection(8, 3, seed=42)
     assert np.array_equal(a.frame.rows, b.frame.rows)  # bitwise
@@ -177,7 +156,7 @@ def test_compression_norm_matches_dense_norm():
         p = random_projection(n, r, seed=int(rng.integers(0, 2**31)))
         s = Symmetry(rng.choice([-1, 1], size=n))
         small = operator_norm(compress_psp(p, s))
-        pm = materialize(p).mat
+        pm = p.frame.rows.T @ p.frame.rows
         dense = pm @ np.diag(s.signs).astype(float) @ pm
         ref = float(np.abs(np.linalg.eigvalsh((dense + dense.T) / 2)).max())
         assert abs(small - ref) < 1e-9
@@ -188,7 +167,8 @@ def test_materialized_projections_idempotent():
     for _ in range(20):
         n = int(rng.integers(1, 30))
         r = int(rng.integers(0, n + 1))
-        pm = materialize(random_projection(n, r, seed=int(rng.integers(0, 2**31)))).mat
+        f = random_projection(n, r, seed=int(rng.integers(0, 2**31))).frame.rows
+        pm = f.T @ f
         assert np.abs(pm @ pm - pm).max() < 1e-9
 
 
@@ -211,6 +191,6 @@ def test_json_round_trips():
     assert doc["rank"] == 2 and doc["n"] == 6 and len(doc["rows"]) == 2
     back = OrthonormalFrame.from_json_dict(doc)
     assert np.array_equal(back.rows, p.frame.rows)
-    m = materialize(p)
+    m = SymmetricMatrix(p.frame.rows.T @ p.frame.rows)
     m2 = SymmetricMatrix.from_json_dict(m.to_json_dict())
     assert np.array_equal(m2.mat, m.mat)

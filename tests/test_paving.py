@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pavekit.linalg import (
     operator_norm,
     random_projection,
 )
+import pavekit.paving as paving
 from pavekit.paving import (
     TIE_TOL,
     BruteForceCapError,
@@ -187,6 +189,45 @@ def test_brute_force_min_vector_rejects_non_finite_entries(bad):
     p = random_projection(6, 3, 1)
     with pytest.raises(ValueError):
         brute_force_min_vector(p, [bad, 1, 1, 1, 1, 1])
+
+
+def unchunked_min_vector(p, v):
+    # every sign pattern at once, first sign pinned +1, pattern t carrying
+    # -1 at coordinate b+1 when bit b of t is set; first minimizer wins
+    n = p.n
+    codes = np.arange(1 << (n - 1))
+    signs = np.ones((codes.size, n))
+    signs[:, 1:] = 1.0 - 2.0 * ((codes[:, None] >> np.arange(n - 1)) & 1)
+    norms = np.linalg.norm((signs * p.apply(v)) @ p.frame.rows.T, axis=1)
+    at = int(np.argmin(norms))
+    return float(norms[at]), signs[at].astype(int).tolist()
+
+
+def test_brute_force_min_vector_chunks_keep_the_first_minimizer(monkeypatch):
+    monkeypatch.setattr(paving, "VECTOR_CHUNK", 4)
+    rng = np.random.Generator(np.random.PCG64(17))
+    for n in range(1, 11):
+        for rank in {1, (n + 1) // 2}:
+            p = random_projection(n, rank, seed=n * 31 + rank)
+            v = rng.standard_normal(n)
+            want_norm, want_signs = unchunked_min_vector(p, v)
+            got_norm, got = brute_force_min_vector(p, v)
+            assert got_norm == pytest.approx(want_norm, abs=1e-12)
+            assert got.signs.tolist() == want_signs
+    # p = I, v = e_1: every pattern ties at norm 1, in every chunk
+    got_norm, got = brute_force_min_vector(Projection(OrthonormalFrame(np.eye(8))), np.eye(8)[0])
+    assert got_norm == 1.0 and got.signs.tolist() == [1] * 8
+
+
+def test_brute_force_min_vector_memory_is_bounded():
+    p = random_projection(18, 9, seed=4)
+    tracemalloc.start()
+    try:
+        brute_force_min_vector(p, np.ones(18))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_conjectureA_examples():
