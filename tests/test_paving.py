@@ -324,6 +324,23 @@ def test_scan_balance_mode_populates_single_vector_norms():
                 assert val <= bound + 1e-9
 
 
+def test_balance_scan_records_match_the_instance_tests():
+    # seeds 5..11 at gamma 0.75, epsilon 0.3 give Conjecture B held, failed
+    # (seed 6: min norm 0.711 >= 0.7) and vacuous (delta_p >= gamma) cases
+    cfg = ScanConfig(n=6, rank=3, count=7, seed=5, mode="balance", gamma=0.75, epsilon=0.3)
+    recs = scan(cfg)
+    assert {r.conjectureB_holds for r in recs} == {True, False}
+    for rec in recs:
+        p = random_projection(6, 3, rec.seed)
+        want = conjectureA_test(p, seed=rec.seed).to_json_dict()
+        got = rec.to_json_dict()
+        for key in ("runtime_ms", "conjectureB_holds", "single_vector_norms"):
+            del want[key], got[key]
+        assert got == want
+        assert rec.conjectureB_holds == conjectureB_probe(p, gamma=0.75, epsilon=0.3)
+        assert len(rec.single_vector_norms) == 6
+
+
 def test_scan_gamma_epsilon_populates_conjectureB():
     cfg = ScanConfig(n=6, rank=3, count=2, seed=3, gamma=2.0, epsilon=0.01)
     recs = scan(cfg)
@@ -386,3 +403,28 @@ def test_record_serialization_shapes():
     assert lines[2].split(",")[5] == "+-+-"
     # floats at 17 significant digits
     assert "0.5" in lines[2]
+
+
+def test_record_csv_row_and_json_dict_with_every_field_set():
+    rec = ExperimentRecord(seed=3, n=4, rank=2, delta_p=0.1, min_psp_norm=2.0 / 3.0,
+                           argmin_signs=(1, -1, -1, 1), two_delta_p=0.2,
+                           conjectureA_satisfied=False, conjectureB_holds=True,
+                           single_vector_norms=(0.5, None, 1.0 / 3.0, 0.25),
+                           error="ValueError: bad, worse", runtime_ms=1.5)
+    assert records_to_csv([rec]).splitlines() == [
+        "seed,n,rank,delta_p,min_psp_norm,argmin_signs,two_delta_p,conjectureA_satisfied,"
+        "conjectureB_holds,single_vector_norms,error,runtime_ms",
+        '3,4,2,0.10000000000000001,0.66666666666666663,+--+,0.20000000000000001,false,true,'
+        '0.5;;0.33333333333333331;0.25,"ValueError: bad, worse",1.5',
+    ]
+    assert rec.to_json_dict() == {
+        "seed": 3, "n": 4, "rank": 2, "delta_p": 0.1, "min_psp_norm": 2.0 / 3.0,
+        "argmin_signs": [1, -1, -1, 1], "two_delta_p": 0.2,
+        "conjectureA_satisfied": False, "conjectureB_holds": True,
+        "single_vector_norms": [0.5, None, 1.0 / 3.0, 0.25],
+        "error": "ValueError: bad, worse", "runtime_ms": 1.5,
+    }
+    # unset fields: empty cells, JSON nulls
+    bare = ExperimentRecord(seed=0, n=4, rank=9, error="ValueError: need rank <= n")
+    assert records_to_csv([bare]).splitlines()[1] == "0,4,9,,,,,,,,ValueError: need rank <= n,0"
+    assert bare.to_json_dict()["argmin_signs"] is None
