@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .counterexample import (
+    BLOCK_REPRESENTATIVES,
     FALSIFIES_A,
-    BasisIndex,
     block_sizes,
     build_frame,
     delta_p_exact,
@@ -93,19 +93,15 @@ def cmd_construct(args) -> int:
     frame = build_frame(m)
     ok = verify_orthonormal(frame)
     delta = delta_p_exact(m)
-    reps = {
-        "a": BasisIndex.a(1),
-        "b": BasisIndex.b(1),
-        "c": BasisIndex.c(1, 2),
-        "d": BasisIndex.d(1, 1),
-    }
     report = {
         "m": m,
         "dimension": dimension(m),
         "block_sizes": block_sizes(m),
         "orthonormal": ok,
         "delta_p": _rational_pair(delta),
-        "row_norm_sq": {k: _rational_pair(row_norm_sq(m, ix)) for k, ix in reps.items()},
+        "row_norm_sq": {
+            k: _rational_pair(row_norm_sq(m, ix)) for k, ix in BLOCK_REPRESENTATIVES.items()
+        },
     }
     _emit(_envelope("construct", flags, {"report": report}), args.output)
     if not ok:

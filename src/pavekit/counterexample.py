@@ -266,6 +266,25 @@ def verify_orthonormal(f: ExactFrame) -> bool:
     return bool(np.array_equal(gram, scale * scale * np.eye(f.rank, dtype=np.int64)))
 
 
+# One coordinate per block; the diagonal of p is constant on each block.
+BLOCK_REPRESENTATIVES = {
+    "a": BasisIndex.a(1),
+    "b": BasisIndex.b(1),
+    "c": BasisIndex.c(1, 2),
+    "d": BasisIndex.d(1, 1),
+}
+
+
+def _row_norms_sq(m: int, classes: list[int]) -> list[Fraction]:
+    # Sums of the entry squares of the class columns, built in one go.
+    r, d = _columns(m, np.array(classes))
+    scale = m * m * (m + 1)
+    return [
+        Fraction(int(rr), scale * scale) + Fraction((m - 1) * int(dd), (m + 1) * m * m)
+        for rr, dd in zip((r * r).sum(axis=0), (d * d).sum(axis=0))
+    ]
+
+
 def row_norm_sq(m: int, index: BasisIndex) -> Fraction:
     """Exact squared row norm ||p(e_x)||^2 = sum_k <e_x, v_k>^2.
 
@@ -281,22 +300,18 @@ def row_norm_sq(m: int, index: BasisIndex) -> Fraction:
     rational on the a, b and c blocks and pure multiples of sqrt(rho) on the
     d block, so the squares never carry a radical.
     """
-    r, d = _columns(m, np.array([_class_of(m, index)]))
-    scale = m * m * (m + 1)
-    return Fraction(int(r[:, 0] @ r[:, 0]), scale * scale) + Fraction(
-        (m - 1) * int(d[:, 0] @ d[:, 0]), (m + 1) * m * m
-    )
+    return _row_norms_sq(m, [_class_of(m, index)])[0]
 
 
 def delta_p_exact(m: int) -> Fraction:
     """Exact delta_p: the largest diagonal entry of p.
 
-    Computed as the maximum of the four block values (one representative per
-    block suffices).  Equals 2/(m+1)^2 for every m >= 6.
+    Computed as the maximum of the four block values, summed from one built
+    column per block (BLOCK_REPRESENTATIVES).  Equals 2/(m+1)^2 for every
+    m >= 6.
     """
     _check_m(m)
-    reps = [BasisIndex.a(1), BasisIndex.b(1), BasisIndex.c(1, 2), BasisIndex.d(1, 1)]
-    return max(row_norm_sq(m, ix) for ix in reps)
+    return max(_row_norms_sq(m, [_class_of(m, ix) for ix in BLOCK_REPRESENTATIVES.values()]))
 
 
 @dataclass(frozen=True)

@@ -55,14 +55,6 @@ class SymmetricMatrix:
     def n(self) -> int:
         return self.mat.shape[0]
 
-    def to_json_dict(self) -> dict:
-        """JSON layout: {"n": n, "entries": n row-major float arrays}."""
-        return {"n": self.n, "entries": [list(map(float, r)) for r in self.mat]}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SymmetricMatrix":
-        return cls(np.array(doc["entries"], dtype=float).reshape(doc["n"], doc["n"]))
-
     def __repr__(self) -> str:
         return "SymmetricMatrix(n=%d)" % self.n
 
@@ -96,15 +88,6 @@ class OrthonormalFrame:
     @property
     def n(self) -> int:
         return self.rows.shape[1]
-
-    def to_json_dict(self) -> dict:
-        """JSON layout: {"rank": r, "n": n, "rows": r row-major float arrays}."""
-        return {"rank": self.rank, "n": self.n, "rows": [list(map(float, r)) for r in self.rows]}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "OrthonormalFrame":
-        rows = np.array(doc["rows"], dtype=float).reshape(doc["rank"], doc["n"])
-        return cls(rows)
 
     def __repr__(self) -> str:
         return "OrthonormalFrame(rank=%d, n=%d)" % (self.rank, self.n)
@@ -176,21 +159,12 @@ class Symmetry:
     def identity(cls, n: int) -> "Symmetry":
         return cls(np.ones(n, dtype=np.int64))
 
-    @classmethod
-    def from_plus_positions(cls, n: int, positions) -> "Symmetry":
-        signs = -np.ones(n, dtype=np.int64)
-        signs[list(positions)] = 1
-        return cls(signs)
-
     @property
     def n(self) -> int:
         return self.signs.shape[0]
 
     def __neg__(self) -> "Symmetry":
         return Symmetry(-self.signs)
-
-    def plus_positions(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.signs > 0)]
 
     def __repr__(self) -> str:
         return "Symmetry(%s)" % "".join("+" if s > 0 else "-" for s in self.signs)

@@ -11,12 +11,14 @@ deterministic seeded scan harness that emits machine-readable records.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import numbers
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -170,7 +172,10 @@ def paving_pair(p: Projection, q_signs: Symmetry) -> PavingPair:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One paving-experiment instance, fully replayable from its seed."""
+    """One paving-experiment instance, fully replayable from its seed.
+
+    The fields, in order, are the record's JSON keys and CSV columns.
+    """
 
     seed: int
     n: int
@@ -186,69 +191,27 @@ class ExperimentRecord:
     runtime_ms: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "rank": self.rank,
-            "delta_p": self.delta_p,
-            "min_psp_norm": self.min_psp_norm,
-            "argmin_signs": list(self.argmin_signs) if self.argmin_signs is not None else None,
-            "two_delta_p": self.two_delta_p,
-            "conjectureA_satisfied": self.conjectureA_satisfied,
-            "conjectureB_holds": self.conjectureB_holds,
-            "single_vector_norms": list(self.single_vector_norms)
-            if self.single_vector_norms is not None
-            else None,
-            "error": self.error,
-            "runtime_ms": self.runtime_ms,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
-CSV_COLUMNS = (
-    "seed",
-    "n",
-    "rank",
-    "delta_p",
-    "min_psp_norm",
-    "argmin_signs",
-    "two_delta_p",
-    "conjectureA_satisfied",
-    "conjectureB_holds",
-    "single_vector_norms",
-    "error",
-    "runtime_ms",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
-def _fmt_float(x: float | None) -> str:
-    return "" if x is None else "%.17g" % x
-
-
-def record_to_csv_row(rec: ExperimentRecord) -> list[str]:
-    signs = (
-        ""
-        if rec.argmin_signs is None
-        else "".join("+" if s > 0 else "-" for s in rec.argmin_signs)
-    )
-    svn = (
-        ""
-        if rec.single_vector_norms is None
-        else ";".join(_fmt_float(x) for x in rec.single_vector_norms)
-    )
-    return [
-        str(rec.seed),
-        str(rec.n),
-        str(rec.rank),
-        _fmt_float(rec.delta_p),
-        _fmt_float(rec.min_psp_norm),
-        signs,
-        _fmt_float(rec.two_delta_p),
-        "" if rec.conjectureA_satisfied is None else str(rec.conjectureA_satisfied).lower(),
-        "" if rec.conjectureB_holds is None else str(rec.conjectureB_holds).lower(),
-        svn,
-        rec.error or "",
-        _fmt_float(rec.runtime_ms),
-    ]
+def _csv_cell(value) -> str:
+    """A record field as CSV text: empty for None, true/false, floats at 17
+    significant digits, sign vectors as +/- strings, and other tuples (the
+    single-vector norms) as ;-separated cells."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, tuple):
+        if all(isinstance(x, numbers.Integral) for x in value):
+            return "".join("+" if x > 0 else "-" for x in value)
+        return ";".join(_csv_cell(x) for x in value)
+    return str(value)
 
 
 def records_to_csv(records, header: dict | None = None) -> str:
@@ -259,13 +222,8 @@ def records_to_csv(records, header: dict | None = None) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in records:
-        writer.writerow(record_to_csv_row(rec))
+        writer.writerow(_csv_cell(getattr(rec, name)) for name in CSV_COLUMNS)
     return out.getvalue()
-
-
-def records_to_jsonl(records) -> str:
-    """One compact JSON object per line."""
-    return "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records)
 
 
 def conjectureA_test(
@@ -275,7 +233,7 @@ def conjectureA_test(
     t0 = time.perf_counter()
     delta = delta_p_numeric(p)
     min_norm, argmin = brute_force_min(p, max_n=max_n)
-    rec = ExperimentRecord(
+    return ExperimentRecord(
         seed=-1 if seed is None else seed,
         n=p.n,
         rank=p.rank,
@@ -286,7 +244,6 @@ def conjectureA_test(
         conjectureA_satisfied=bool(min_norm <= 2.0 * delta + CONJECTURE_TOL),
         runtime_ms=(time.perf_counter() - t0) * 1000.0,
     )
-    return rec
 
 
 def _check_gamma_epsilon(gamma: float, epsilon: float) -> None:
@@ -297,6 +254,11 @@ def _check_gamma_epsilon(gamma: float, epsilon: float) -> None:
         raise ValueError("epsilon must satisfy 0 < epsilon < 1, got %r" % (epsilon,))
 
 
+def _conjectureB(delta: float, min_norm: float | None, gamma: float, epsilon: float) -> bool:
+    # Reads min_norm only when delta < gamma: the brute force may be skipped.
+    return bool(delta >= gamma or min_norm < 1.0 - epsilon)
+
+
 def conjectureB_probe(
     p: Projection, gamma: float, epsilon: float, max_n: int = DEFAULT_MAX_N
 ) -> bool:
@@ -304,10 +266,9 @@ def conjectureB_probe(
     symmetry has ||psp|| < 1 - epsilon.  Vacuously true when delta_p >= gamma.
     Needs finite gamma > 0 and 0 < epsilon < 1."""
     _check_gamma_epsilon(gamma, epsilon)
-    if delta_p_numeric(p) >= gamma:
-        return True
-    min_norm, _ = brute_force_min(p, max_n=max_n)
-    return bool(min_norm < 1.0 - epsilon)
+    delta = delta_p_numeric(p)
+    min_norm = brute_force_min(p, max_n=max_n)[0] if delta < gamma else None
+    return _conjectureB(delta, min_norm, gamma, epsilon)
 
 
 @dataclass(frozen=True)
@@ -326,6 +287,10 @@ class ScanConfig:
     def __post_init__(self):
         if self.mode not in SCAN_MODES:
             raise ValueError("mode must be one of %s, got %r" % (SCAN_MODES, self.mode))
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.count < 0:
             raise ValueError("count must be >= 0")
         if (self.gamma is None) != (self.epsilon is None):
@@ -334,16 +299,7 @@ class ScanConfig:
             _check_gamma_epsilon(self.gamma, self.epsilon)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rank": self.rank,
-            "count": self.count,
-            "seed": self.seed,
-            "mode": self.mode,
-            "gamma": self.gamma,
-            "epsilon": self.epsilon,
-            "max_n": self.max_n,
-        }
+        return asdict(self)
 
 
 def _scan_instance(config: ScanConfig, i: int) -> ExperimentRecord:
@@ -351,48 +307,23 @@ def _scan_instance(config: ScanConfig, i: int) -> ExperimentRecord:
     t0 = time.perf_counter()
     try:
         p = random_projection(config.n, config.rank, seed)
-        delta = delta_p_numeric(p)
-        min_norm, argmin = brute_force_min(p, max_n=config.max_n)
-        satisfied = bool(min_norm <= 2.0 * delta + CONJECTURE_TOL)
-        b_holds = None
+        rec = conjectureA_test(p, seed=seed, max_n=config.max_n)
         if config.gamma is not None:
-            b_holds = bool(delta >= config.gamma or min_norm < 1.0 - config.epsilon)
-        single = None
+            b_holds = _conjectureB(rec.delta_p, rec.min_psp_norm, config.gamma, config.epsilon)
+            rec = replace(rec, conjectureB_holds=b_holds)
         if config.mode == "balance":
-            diag = p.diagonal()
-            vals: list[float | None] = []
-            basis = np.eye(config.n)
-            for idx in range(config.n):
-                if diag[idx] <= DEGENERATE_TOL**2:
-                    vals.append(None)
-                else:
-                    vals.append(single_vector_symmetry(p, basis[idx]).achieved_norm)
-            single = tuple(vals)
-        return ExperimentRecord(
-            seed=seed,
-            n=config.n,
-            rank=config.rank,
-            delta_p=delta,
-            min_psp_norm=min_norm,
-            argmin_signs=tuple(int(s) for s in argmin.signs),
-            two_delta_p=2.0 * delta,
-            conjectureA_satisfied=satisfied,
-            conjectureB_holds=b_holds,
-            single_vector_norms=single,
-            runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        )
+            diag, basis = p.diagonal(), np.eye(config.n)
+            single = tuple(
+                None
+                if diag[k] <= DEGENERATE_TOL**2
+                else single_vector_symmetry(p, basis[k]).achieved_norm
+                for k in range(config.n)
+            )
+            rec = replace(rec, single_vector_norms=single)
     except Exception as exc:  # per-instance failures land in the record
-        return ExperimentRecord(
-            seed=seed,
-            n=config.n,
-            rank=config.rank,
-            error="%s: %s" % (type(exc).__name__, exc),
-            runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        )
-
-
-def _scan_instance_star(args: tuple[ScanConfig, int]) -> ExperimentRecord:
-    return _scan_instance(*args)
+        error = "%s: %s" % (type(exc).__name__, exc)
+        rec = ExperimentRecord(seed=seed, n=config.n, rank=config.rank, error=error)
+    return replace(rec, runtime_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def scan(config: ScanConfig, workers: int = 1) -> list[ExperimentRecord]:
@@ -408,10 +339,10 @@ def scan(config: ScanConfig, workers: int = 1) -> list[ExperimentRecord]:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     workers = min(workers, os.cpu_count() or 1, config.count)
+    run = functools.partial(_scan_instance, config)
     if workers <= 1:
-        return [_scan_instance(config, i) for i in range(config.count)]
-    tasks = [(config, i) for i in range(config.count)]
+        return [run(i) for i in range(config.count)]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_scan_instance_star, tasks))
+        return list(pool.map(run, range(config.count)))

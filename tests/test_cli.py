@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from pavekit import cli
 
 
@@ -182,3 +184,13 @@ def test_scan_rejects_non_finite_conjectureB_parameters():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "gamma must be finite" in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "0", "--rank", "0", "--count", "1", "--seed", "1"], "n must be >= 1"),
+    (["--n", "10", "--rank", "5", "--count", "2", "--seed", "-1"], "seed must be >= 0"),
+])
+def test_scan_rejects_inputs_every_instance_would_fail_on(args, message, capsys):
+    assert cli.main(["scan", *args]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
