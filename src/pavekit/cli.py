@@ -137,7 +137,7 @@ def cmd_bruteforce(args) -> int:
     }
     if args.n < 1:
         raise ValueError("n must be >= 1")
-    # Before the draw: Gram-Schmidt on a huge n would run long or exhaust
+    # Before the draw: the QR of a huge draw would run long or exhaust
     # memory only to be refused by brute_force_min.
     if args.n > args.max_n:
         raise BruteForceCapError(args.n, args.max_n)

@@ -208,10 +208,11 @@ def random_projection(n: int, r: int, seed: int) -> Projection:
 
     Draws an (r, n) block of standard Gaussians from
     ``numpy.random.Generator(PCG64(seed)).standard_normal`` and orthonormalizes
-    the rows by modified Gram-Schmidt with one reorthogonalization pass.  Same
-    seed, numpy version, and platform give a bitwise-identical frame.  A
-    rank-deficient draw (probability ~0) is retried on the continuation of
-    the same stream.
+    the rows by LAPACK's Householder QR (``numpy.linalg.qr``), signed so that
+    row i has a positive component along draw i's residual; this is the
+    Gram-Schmidt frame up to roundoff.  Same seed, numpy version, and
+    platform give a bitwise-identical frame.  A rank-deficient draw
+    (probability ~0) is retried on the continuation of the same stream.
     """
     if not 0 <= r <= n:
         raise ValueError("need 0 <= rank <= n, got rank=%d, n=%d" % (r, n))
@@ -227,15 +228,12 @@ def random_projection(n: int, r: int, seed: int) -> Projection:
 
 
 def _orthonormalize_rows(x: np.ndarray) -> np.ndarray | None:
-    r = x.shape[0]
-    q = np.array(x, dtype=float)
-    for i in range(r):
-        v = q[i]
-        for _pass in range(2):
-            for j in range(i):
-                v -= (q[j] @ v) * q[j]
-        nv = float(np.linalg.norm(v))
-        if nv <= 1e-8 * float(np.linalg.norm(x[i])):
-            return None
-        q[i] = v / nv
-    return q
+    # Householder QR of the rows as columns: |R_ii| is the norm of row i's
+    # residual after projecting out rows 0..i-1, the quantity Gram-Schmidt
+    # tests, and flipping each Q column to make diag(R) positive gives the
+    # frame Gram-Schmidt would (Q with positive diag(R) is unique).
+    q, r = np.linalg.qr(x.T)
+    diag = np.diag(r)
+    if np.any(np.abs(diag) <= 1e-8 * np.linalg.norm(x, axis=1)):
+        return None
+    return np.ascontiguousarray((q * np.sign(diag)).T)

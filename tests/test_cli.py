@@ -113,7 +113,8 @@ def test_bruteforce_cap_refusal_names_flag():
 
 
 def test_bruteforce_cap_checked_before_the_draw(capsys):
-    # refused before random_projection: Gram-Schmidt at n=5000 takes seconds
+    # refused before random_projection, which would draw and factor a
+    # 2500 x 5000 block
     start = time.perf_counter()
     assert cli.main(["bruteforce", "--n", "5000", "--rank", "2500", "--seed", "1"]) == 1
     assert time.perf_counter() - start < 1.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pavekit.linalg as linalg
 from pavekit.linalg import (
     OrthonormalFrame,
     Projection,
@@ -144,6 +145,25 @@ def test_random_projection_edges_and_determinism():
     assert np.abs(g - np.eye(3)).max() < 1e-10
     with pytest.raises(ValueError):
         random_projection(3, 4, seed=1)
+
+
+def test_random_projection_is_the_gram_schmidt_frame_of_its_draw():
+    # independent oracle: modified Gram-Schmidt, with one reorthogonalization
+    # pass, on the same Gaussian draw
+    for n, r, seed in ((1, 1, 0), (10, 5, 1), (40, 40, 2), (150, 30, 3)):
+        q = np.random.Generator(np.random.PCG64(seed)).standard_normal((r, n))
+        for i in range(r):
+            for _ in range(2):
+                for j in range(i):
+                    q[i] -= (q[j] @ q[i]) * q[j]
+            q[i] /= np.linalg.norm(q[i])
+        assert np.abs(random_projection(n, r, seed).frame.rows - q).max() < 1e-13
+
+
+def test_rank_deficient_draw_is_refused():
+    assert linalg._orthonormalize_rows(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])) is None
+    assert linalg._orthonormalize_rows(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])) is None
+    assert linalg._orthonormalize_rows(np.array([[3.0, 4.0, 0.0], [0.0, 0.0, -2.0]])) is not None
 
 
 def test_compression_norm_matches_dense_norm():
