@@ -65,6 +65,11 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
+def _flags(args) -> dict:
+    # Every parsed option, so a report replays from its own output.
+    return {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+
+
 def _envelope(command: str, flags: dict, payload: dict) -> str:
     doc = {"tool": "pavekit", "version": __version__, "command": command, "flags": flags}
     doc.update(payload)
@@ -88,7 +93,6 @@ def _rational_pair(x) -> dict:
 
 def cmd_construct(args) -> int:
     m = args.m
-    flags = {"m": m, "format": "json", "output": args.output}
     _progress("[construct] building exact frame for m=%d" % m)
     frame = build_frame(m)
     ok = verify_orthonormal(frame)
@@ -103,7 +107,7 @@ def cmd_construct(args) -> int:
             k: _rational_pair(row_norm_sq(m, ix)) for k, ix in BLOCK_REPRESENTATIVES.items()
         },
     }
-    _emit(_envelope("construct", flags, {"report": report}), args.output)
+    _emit(_envelope("construct", _flags(args), {"report": report}), args.output)
     if not ok:
         _progress("[construct] exact orthonormality FAILED (implementation fault)")
         return EXIT_INTERNAL
@@ -114,7 +118,6 @@ def cmd_certify(args) -> int:
     ms = _parse_m_range(args.m)
     if args.workers < 1:
         raise ValueError("workers must be >= 1")
-    flags = {"m": args.m, "workers": args.workers, "format": "json", "output": args.output}
     results = []
     any_falsified = False
     for m in ms:
@@ -122,19 +125,11 @@ def cmd_certify(args) -> int:
         any_falsified = any_falsified or rep.verdict == FALSIFIES_A
         _progress("[certify] m=%d %s" % (m, rep.verdict))
         results.append(rep.to_json_dict())
-    _emit(_envelope("certify", flags, {"results": results}), args.output)
+    _emit(_envelope("certify", _flags(args), {"results": results}), args.output)
     return EXIT_OK if any_falsified else EXIT_INCONCLUSIVE
 
 
 def cmd_bruteforce(args) -> int:
-    flags = {
-        "n": args.n,
-        "rank": args.rank,
-        "seed": args.seed,
-        "max_n": args.max_n,
-        "format": "json",
-        "output": args.output,
-    }
     if args.n < 1:
         raise ValueError("n must be >= 1")
     # Before the draw: the QR of a huge draw would run long or exhaust
@@ -144,18 +139,11 @@ def cmd_bruteforce(args) -> int:
     p = random_projection(args.n, args.rank, args.seed)
     _progress("[bruteforce] walking %d symmetries" % (1 << (args.n - 1)))
     record = conjectureA_test(p, seed=args.seed, max_n=args.max_n)
-    _emit(_envelope("bruteforce", flags, {"record": record.to_json_dict()}), args.output)
+    _emit(_envelope("bruteforce", _flags(args), {"record": record.to_json_dict()}), args.output)
     return EXIT_OK
 
 
 def cmd_balance(args) -> int:
-    flags = {
-        "n": args.n,
-        "rank": args.rank,
-        "seed": args.seed,
-        "format": "json",
-        "output": args.output,
-    }
     p = random_projection(args.n, args.rank, args.seed)
     vec_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=args.seed, spawn_key=(1,)))
@@ -164,7 +152,7 @@ def cmd_balance(args) -> int:
     result = single_vector_symmetry(p, v)
     report = result.to_json_dict()
     report.update({"n": args.n, "rank": args.rank, "seed": args.seed})
-    _emit(_envelope("balance", flags, {"report": report}), args.output)
+    _emit(_envelope("balance", _flags(args), {"report": report}), args.output)
     return EXIT_OK
 
 
@@ -179,8 +167,7 @@ def cmd_scan(args) -> int:
         epsilon=args.epsilon,
         max_n=args.max_n,
     )
-    flags = dict(config.to_json_dict())
-    flags.update({"workers": args.workers, "format": args.format, "output": args.output})
+    flags = _flags(args)
     _progress("[scan] %d instances of n=%d rank=%d" % (args.count, args.n, args.rank))
     records = scan(config, workers=args.workers)
     if args.format == "csv":
@@ -203,13 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("construct", help="build and exactly verify the counterexample frame")
     sp.add_argument("--m", type=int, required=True, help="construction parameter, >= 2")
     add_common(sp)
-    sp.set_defaults(func=cmd_construct)
+    sp.set_defaults(func=cmd_construct, format="json")
 
     sp = sub.add_parser("certify", help="exhaustive exact certificate over a range of m")
     sp.add_argument("--m", required=True, help="single value or inclusive range, e.g. 6..12")
     sp.add_argument("--workers", type=int, default=1, help=">= 1; has no effect on certify")
     add_common(sp)
-    sp.set_defaults(func=cmd_certify)
+    sp.set_defaults(func=cmd_certify, format="json")
 
     sp = sub.add_parser("bruteforce", help="exhaustive Conjecture A test on one random instance")
     sp.add_argument("--n", type=int, required=True)
@@ -217,14 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
     add_common(sp)
-    sp.set_defaults(func=cmd_bruteforce)
+    sp.set_defaults(func=cmd_bruteforce, format="json")
 
     sp = sub.add_parser("balance", help="single-vector cancellation certificate on one instance")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     add_common(sp)
-    sp.set_defaults(func=cmd_balance)
+    sp.set_defaults(func=cmd_balance, format="json")
 
     sp = sub.add_parser("scan", help="seeded batch of instance tests")
     sp.add_argument("--n", type=int, required=True)

@@ -173,10 +173,6 @@ class ExactFrame:
     mult: np.ndarray
 
     @property
-    def rho(self) -> Fraction:
-        return Fraction(self.m - 1, self.m + 1)
-
-    @property
     def rank(self) -> int:
         return self.R.shape[0]
 

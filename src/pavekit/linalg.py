@@ -155,10 +155,6 @@ class Symmetry:
     def __setattr__(self, name, value):
         raise AttributeError("Symmetry is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "Symmetry":
-        return cls(np.ones(n, dtype=np.int64))
-
     @property
     def n(self) -> int:
         return self.signs.shape[0]

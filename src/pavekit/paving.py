@@ -1,8 +1,9 @@
 """Paving experiments on arbitrary projections.
 
-Exhaustive minimum of ||psp|| over diagonal symmetries for small n (a Gray
-walk over the sign hypercube, building each r x r compression afresh from
-the frame, with ties broken by an order-independent rule), Conjecture A /
+Exhaustive minimum of ||psp|| over diagonal symmetries for small n (one
+search over the sign vectors in lexicographic order, shared with the
+single-vector minimum, building each r x r compression afresh from the
+frame, with ties going to the lex-smallest sign vector), Conjecture A /
 Conjecture B instance tests, the paving-pair quantity
 max(||qpq||, ||(1-q)p(1-q)||) against its 1/2 + delta_p threshold, and a
 deterministic seeded scan harness that emits machine-readable records.
@@ -39,9 +40,9 @@ SCAN_MODES = ("conjectureA", "balance")
 # Norms within TIE_TOL of the minimum tie.  Norms of compressions of a
 # projection are at most 1, so this is a few ulps, far below CONJECTURE_TOL.
 TIE_TOL = 8 * float(np.finfo(float).eps)
-# Sign patterns per batch in brute_force_min_vector: about 2.5 MB of signs
-# at n = 20, whatever the total count.
-VECTOR_CHUNK = 1 << 14
+# Sign vectors per batch of the exhaustive search: about 2.5 MB of signs at
+# n = 20, whatever the total count.
+SIGN_CHUNK = 1 << 14
 
 
 class BruteForceCapError(ValueError):
@@ -60,63 +61,63 @@ def delta_p_numeric(p: Projection) -> float:
     return float(p.diagonal().max())
 
 
-def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, Symmetry]:
-    """Exact-by-exhaustion minimum of ||psp|| over diagonal symmetries.
+def _min_over_signs(n: int, max_n: int, norms_of) -> tuple[float, Symmetry]:
+    """Exhaustive minimum of ``norms_of`` over the 2^(n-1) sign vectors.
 
-    The first sign is pinned to +1 (s and -s give the same norm); the
-    remaining 2^(n-1) sign vectors are visited in Gray-code order, and each
-    compression F S F^T is built afresh, so a sign vector's norm does not
-    depend on where the walk meets it.  Returns the smallest norm and, among
-    the sign vectors whose norm is within TIE_TOL of it, the
-    lexicographically smallest (-1 before +1).  Neither depends on the order
-    of the walk.
+    The first sign is pinned to +1 (s and -s give the same norm).  The sign
+    vectors are visited in lexicographic order (-1 before +1), SIGN_CHUNK
+    float rows at a time; ``norms_of`` maps each chunk to its norms.
+    Returns the smallest norm and, among the sign vectors whose norm is
+    within TIE_TOL of it, the lexicographically smallest.
     """
-    n = p.n
     if n < 1:
         raise ValueError("projection must have n >= 1")
     if n > max_n:
         raise BruteForceCapError(n, max_n)
-    if p.rank == 0:
+    count = 1 << (n - 1)
+    # Pattern t carries sign j+1 in bit n-2-j, set for +1: counting order
+    # is lexicographic order with -1 before +1.
+    shifts = np.arange(n - 2, -1, -1)
+    best = math.inf
+    # Every sign vector before the lex-smallest tie has a norm above the
+    # final minimum plus TIE_TOL, so that tie is a strict running minimum:
+    # keep those, in order, while they stay within TIE_TOL of the best so
+    # far, and the first one left at the end is the answer.
+    ties: list[tuple[float, np.ndarray]] = []
+    for start in range(0, count, SIGN_CHUNK):
+        codes = np.arange(start, min(start + SIGN_CHUNK, count))
+        rows = np.ones((codes.size, n))
+        rows[:, 1:] = 2.0 * ((codes[:, None] >> shifts) & 1) - 1.0
+        norms = norms_of(rows)
+        before = np.minimum.accumulate(np.concatenate(([best], norms[:-1])))
+        ties += [(float(norms[i]), rows[i]) for i in np.flatnonzero(norms < before)]
+        best = min(best, float(norms.min()))
+        ties = [(x, s) for x, s in ties if x <= best + TIE_TOL]
+    return best, Symmetry(ties[0][1])
+
+
+def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, Symmetry]:
+    """Exact-by-exhaustion minimum of ||psp|| over diagonal symmetries.
+
+    Each compression F S F^T is built afresh, so a sign vector's norm does
+    not depend on where the search meets it.  Returns the smallest norm and
+    the lexicographically smallest sign vector (first sign +1) within
+    TIE_TOL of it.
+    """
+    n = p.n
+    if p.rank == 0 and 1 <= n <= max_n:
         # Every symmetry compresses to norm 0; the lex-smallest representative
-        # with the leading +1 wins the tie outright.
+        # with the leading +1 wins the tie outright.  Other n fall through to
+        # the search's checks.
         signs = -np.ones(n, dtype=np.int64)
         signs[0] = 1
         return 0.0, Symmetry(signs)
-
     f = p.frame.rows
-    signs = np.ones(n)
-    # The sign vector as an n-bit integer, first sign most significant and
-    # +1 as bit 1: integer order is lexicographic order with -1 before +1.
-    key = (1 << n) - 1
-    best = math.inf
-    ties: list[tuple[int, float]] = []
-    for t in range(1 << (n - 1)):
-        if t:
-            j = (t & -t).bit_length()  # trailing zeros + 1: bit 0 stays pinned
-            signs[j] = -signs[j]
-            key ^= 1 << (n - 1 - j)
-        norm = operator_norm(SymmetricMatrix((f * signs) @ f.T))
-        if norm <= best + TIE_TOL:
-            best = min(best, norm)
-            ties = _add_tie(ties, key, norm, best + TIE_TOL)
-    key = min(k for k, _ in ties)
-    return float(best), Symmetry([1 if key >> (n - 1 - i) & 1 else -1 for i in range(n)])
 
+    def norms_of(rows):
+        return np.array([operator_norm(SymmetricMatrix((f * s) @ f.T)) for s in rows])
 
-def _add_tie(ties: list[tuple[int, float]], key: int, norm: float, limit: float):
-    """The tie candidates (key, norm) after meeting ``key`` at ``norm``.
-
-    Keeps only the candidates within ``limit`` that no other candidate beats
-    on both key and norm: a beaten one is never the final answer, since its
-    beater ties whenever it does.  So the list stays a few entries long even
-    when every symmetry ties, and the smallest key left at the end is the
-    lex-smallest tie whatever the visit order.
-    """
-    if any(k < key and x <= norm for k, x in ties):
-        return ties  # beaten: norm >= best, so the limit has not moved
-    kept = [(k, x) for k, x in ties if x <= limit and not (k > key and x >= norm)]
-    kept.append((key, norm))
-    return kept
+    return _min_over_signs(n, max_n, norms_of)
 
 
 def brute_force_min_vector(
@@ -124,33 +125,16 @@ def brute_force_min_vector(
 ) -> tuple[float, Symmetry]:
     """Exhaustive minimum of ||psp(v)|| (a vector norm, not the operator norm).
 
-    Vectorized over the 2^(n-1) sign patterns with the first sign pinned +1,
-    VECTOR_CHUNK patterns at a time so memory stays bounded; the first
-    minimizer in binary-counting order is returned.  A v with a NaN or
-    infinite entry raises ``ValueError``.
+    Vectorized over each chunk of sign vectors, with the search, memory
+    bound and tie rule of ``brute_force_min``.  A v with a NaN or infinite
+    entry raises ``ValueError``.
     """
-    n = p.n
-    if n < 1:
-        raise ValueError("projection must have n >= 1")
-    if n > max_n:
-        raise BruteForceCapError(n, max_n)
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():
         raise ValueError("v has a NaN or infinite entry")
     pv = p.apply(v)
-    count = 1 << (n - 1)
-    shifts = np.arange(n - 1)
-    best_norm, best_signs = math.inf, None
-    for start in range(0, count, VECTOR_CHUNK):
-        codes = np.arange(start, min(start + VECTOR_CHUNK, count))
-        signs = np.ones((codes.size, n))
-        signs[:, 1:] = 1.0 - 2.0 * ((codes[:, None] >> shifts) & 1)
-        norms = np.linalg.norm((signs * pv) @ p.frame.rows.T, axis=1)
-        at = int(np.argmin(norms))
-        # strict <: an equal norm in a later chunk comes later in the order
-        if best_signs is None or norms[at] < best_norm:
-            best_norm, best_signs = float(norms[at]), signs[at]
-    return best_norm, Symmetry(best_signs.astype(np.int64))
+    f = p.frame.rows
+    return _min_over_signs(p.n, max_n, lambda rows: np.linalg.norm((rows * pv) @ f.T, axis=1))
 
 
 class PavingPair(NamedTuple):
@@ -297,9 +281,6 @@ class ScanConfig:
             raise ValueError("gamma and epsilon must be given together")
         if self.gamma is not None:
             _check_gamma_epsilon(self.gamma, self.epsilon)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _scan_instance(config: ScanConfig, i: int) -> ExperimentRecord:

@@ -136,22 +136,24 @@ def greedy_rearrange(family: ZeroSumFamily) -> list[int]:
     v = family.vectors
     base_tol = PREFIX_TOL * family.scale()
     order = [0]
-    remaining = list(range(1, k))
+    used = np.zeros(k, dtype=bool)
+    used[0] = True
     w = v[0].copy()
-    while remaining:
-        dots = v[remaining] @ w
-        pick = int(np.argmin(dots))  # first minimum = smallest index on ties
+    for _ in range(k - 1):
+        dots = v @ w
+        dots[used] = np.inf
+        idx = int(np.argmin(dots))  # first minimum = smallest index on ties
         # The remaining vectors sum to rho - w with ||rho|| <= sum_tolerance,
         # so the best inner product is at most ||rho||*||w|| above zero; the
         # slack must admit that much.
         tol = base_tol + family.sum_tolerance * float(np.linalg.norm(w))
-        if float(dots[pick]) > tol:
+        if float(dots[idx]) > tol:
             raise ValueError(
                 "no remaining vector has nonpositive inner product "
                 "(best %g > slack %g); zero-sum precondition violated"
-                % (float(dots[pick]), tol)
+                % (float(dots[idx]), tol)
             )
-        idx = remaining.pop(pick)
+        used[idx] = True
         order.append(idx)
         w += v[idx]
     return order

@@ -102,7 +102,12 @@ def test_frame_entries_match_the_displays():
                 assert got == displayed_entry(m, k, ix), (m, k, ix)
     # one column per class: a, b_1..b_13, 78 c pairs, d_1..d_13 at m = 6
     f = build_frame(6)
-    assert f.rho == Fraction(5, 7)
+    # the rational part of each squared row norm is 1 with rho = (m-1)/(m+1)
+    m, rho = 6, Fraction(6 - 1, 6 + 1)
+    for k in range(2 * m + 2):
+        terms = zip(f.R[k].tolist(), f.D[k].tolist(), f.mult.tolist())
+        assert sum(c * (Fraction(r, m * m * (m + 1)) ** 2 + rho * Fraction(d, m) ** 2)
+                   for r, d, c in terms) == 1
     assert f.R.dtype == f.D.dtype == f.mult.dtype == np.int64
     assert f.R.shape == f.D.shape == (14, 1 + 13 + 78 + 13)
     assert f.mult.tolist() == [36] + [1] * (13 + 78) + [49] * 13

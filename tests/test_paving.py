@@ -78,7 +78,7 @@ def test_brute_force_rank0_gives_zero_and_lex_tiebreak():
 
 
 def test_brute_force_matches_direct_enumeration():
-    # independent oracle: enumerate sign vectors directly, no Gray updates
+    # independent oracle: enumerate sign vectors directly, one at a time
     rng = np.random.Generator(np.random.PCG64(8))
     for trial in range(5):
         n = 7
@@ -112,18 +112,21 @@ def test_tie_rule_when_every_symmetry_ties():
     assert _signs_str(argmin) == "+---------"
 
 
-def test_tie_rule_is_lex_smallest_within_tie_tol():
+def test_tie_rule_is_lex_smallest_within_tie_tol(monkeypatch):
     # independent oracle: norms in lexicographic order (-1 before +1), then
     # the first within TIE_TOL of the minimum; rank 3 is generic, rank 5 of
-    # 8 is degenerate (every norm is 1 up to roundoff)
+    # 8 is degenerate (every norm is 1 up to roundoff).  Chunks of 4 put
+    # ties on both sides of chunk boundaries.
     tails = list(itertools.product((-1, 1), repeat=7))
     for rank in (3, 5):
         p = random_projection(8, rank, seed=3)
         norms = [operator_norm(compress_psp(p, Symmetry((1,) + t))) for t in tails]
-        mn, argmin = brute_force_min(p)
-        assert mn == min(norms)  # each compression is built afresh: no drift
-        expected = next(t for t, x in zip(tails, norms) if x <= mn + TIE_TOL)
-        assert tuple(argmin.signs[1:].tolist()) == expected
+        expected = next(t for t, x in zip(tails, norms) if x <= min(norms) + TIE_TOL)
+        for chunk in (paving.SIGN_CHUNK, 4):
+            monkeypatch.setattr(paving, "SIGN_CHUNK", chunk)
+            mn, argmin = brute_force_min(p)
+            assert mn == min(norms)  # each compression is built afresh: no drift
+            assert tuple(argmin.signs[1:].tolist()) == expected
 
 
 def test_tie_rule_on_permuted_degenerate_instances():
@@ -142,6 +145,22 @@ def test_tie_rule_on_permuted_degenerate_instances():
         mn, argmin = brute_force_min(rank1(v))
         assert mn < 1e-15
         assert tuple(argmin.signs.tolist()) == min(ties)
+
+
+def test_both_searches_share_the_tie_rule_on_permuted_degenerate_instances():
+    # p = vv^T as above: ||psp(v)|| = |sum s_i v_i^2| / ||v|| vanishes on the
+    # same sign vectors as ||psp||, so the vector and operator searches must
+    # return the same lex-smallest tie
+    rng = np.random.Generator(np.random.PCG64(606))
+    base = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+    for _ in range(8):
+        v = base[rng.permutation(6)]
+        w = (v * v).astype(int)
+        ties = min(s for s in itertools.product((-1, 1), repeat=6)
+                   if s[0] == 1 and int(np.dot(s, w)) == 0)
+        p = rank1(v)
+        assert tuple(brute_force_min(p)[1].signs.tolist()) == ties
+        assert tuple(brute_force_min_vector(p, v)[1].signs.tolist()) == ties
 
 
 def test_s_and_minus_s_compress_to_equal_norms():
@@ -190,19 +209,16 @@ def test_brute_force_min_vector_rejects_non_finite_entries(bad):
 
 
 def unchunked_min_vector(p, v):
-    # every sign pattern at once, first sign pinned +1, pattern t carrying
-    # -1 at coordinate b+1 when bit b of t is set; first minimizer wins
-    n = p.n
-    codes = np.arange(1 << (n - 1))
-    signs = np.ones((codes.size, n))
-    signs[:, 1:] = 1.0 - 2.0 * ((codes[:, None] >> np.arange(n - 1)) & 1)
+    # every sign vector at once, first sign pinned +1, in lexicographic order
+    # (-1 before +1); the first within TIE_TOL of the minimum wins
+    signs = np.array([(1,) + t for t in itertools.product((-1.0, 1.0), repeat=p.n - 1)])
     norms = np.linalg.norm((signs * p.apply(v)) @ p.frame.rows.T, axis=1)
-    at = int(np.argmin(norms))
-    return float(norms[at]), signs[at].astype(int).tolist()
+    at = int(np.flatnonzero(norms <= norms.min() + TIE_TOL)[0])
+    return float(norms.min()), signs[at].astype(int).tolist()
 
 
 def test_brute_force_min_vector_chunks_keep_the_first_minimizer(monkeypatch):
-    monkeypatch.setattr(paving, "VECTOR_CHUNK", 4)
+    monkeypatch.setattr(paving, "SIGN_CHUNK", 4)
     rng = np.random.Generator(np.random.PCG64(17))
     for n in range(1, 11):
         for rank in {1, (n + 1) // 2}:
@@ -212,9 +228,10 @@ def test_brute_force_min_vector_chunks_keep_the_first_minimizer(monkeypatch):
             got_norm, got = brute_force_min_vector(p, v)
             assert got_norm == pytest.approx(want_norm, abs=1e-12)
             assert got.signs.tolist() == want_signs
-    # p = I, v = e_1: every pattern ties at norm 1, in every chunk
+    # p = I, v = e_1: every pattern ties at norm 1, in every chunk, and the
+    # operator search picks the same sign vector
     got_norm, got = brute_force_min_vector(Projection(OrthonormalFrame(np.eye(8))), np.eye(8)[0])
-    assert got_norm == 1.0 and got.signs.tolist() == [1] * 8
+    assert got_norm == 1.0 and _signs_str(got) == "+-------"
 
 
 def test_brute_force_min_vector_memory_is_bounded():
