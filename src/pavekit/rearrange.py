@@ -21,6 +21,14 @@ prefix +1 and the rest -1 yields a diagonal symmetry s with
 So for any single vector, sign cancellation down to ~sqrt(2*delta_p) is
 always achievable; lower bounds above that scale need the test vector to
 vary with the symmetry.
+
+Every slice y_i lies in range(p), which has dimension r, so the greedy runs
+on the frame coordinates z_i = F y_i (F the r x n frame of p) instead of
+the y_i themselves.  F^T maps R^r isometrically onto range(p) and
+F^T z_i = y_i, so every inner product, norm and zero-sum residual the
+greedy and its checks see is the same up to roundoff.  The greedy then
+costs O(n^2 r) time and O(n r) memory, where the n-vectors y_i would cost
+O(n^3) and O(n^2).
 """
 
 from __future__ import annotations
@@ -43,7 +51,8 @@ class ZeroSumFamily:
     """A finite family of same-dimension vectors required to sum to zero.
 
     ``sum_tolerance`` defaults to 1e-9 times the total vector length mass;
-    construction fails if ||sum v_i|| exceeds it.
+    construction fails if ||sum v_i|| exceeds it.  A non-finite entry, and a
+    ``sum_tolerance`` that is NaN, infinite or negative, raise ``ValueError``.
     """
 
     __slots__ = ("vectors", "sum_tolerance")
@@ -54,9 +63,18 @@ class ZeroSumFamily:
             a = a.reshape(0, 0 if a.ndim < 2 else a.shape[-1])
         if a.ndim != 2:
             raise ValueError("expected a sequence of equal-length vectors")
+        if not np.isfinite(a).all():
+            raise ValueError("family has a NaN or infinite entry")
         norms = np.linalg.norm(a, axis=1) if len(a) else np.zeros(0)
         if sum_tolerance is None:
             sum_tolerance = 1e-9 * float(norms.sum())
+        # An infinite or NaN tolerance would switch off both this check and
+        # the greedy's existence backstop (x > nan is always False).
+        sum_tolerance = float(sum_tolerance)
+        if not 0.0 <= sum_tolerance < math.inf:
+            raise ValueError(
+                "sum_tolerance must be finite and >= 0, got %r" % (sum_tolerance,)
+            )
         resid = float(np.linalg.norm(a.sum(axis=0))) if len(a) else 0.0
         if resid > sum_tolerance:
             raise ValueError(
@@ -65,7 +83,7 @@ class ZeroSumFamily:
             )
         a.setflags(write=False)
         object.__setattr__(self, "vectors", a)
-        object.__setattr__(self, "sum_tolerance", float(sum_tolerance))
+        object.__setattr__(self, "sum_tolerance", sum_tolerance)
 
     def __setattr__(self, name, value):
         raise AttributeError("ZeroSumFamily is immutable")
@@ -142,11 +160,11 @@ def greedy_rearrange(family: ZeroSumFamily) -> list[int]:
     for _ in range(k - 1):
         dots = v @ w
         dots[used] = np.inf
-        idx = int(np.argmin(dots))  # first minimum = smallest index on ties
+        idx = int(dots.argmin())  # first minimum = smallest index on ties
         # The remaining vectors sum to rho - w with ||rho|| <= sum_tolerance,
         # so the best inner product is at most ||rho||*||w|| above zero; the
         # slack must admit that much.
-        tol = base_tol + family.sum_tolerance * float(np.linalg.norm(w))
+        tol = base_tol + family.sum_tolerance * math.sqrt(float(w @ w))
         if float(dots[idx]) > tol:
             raise ValueError(
                 "no remaining vector has nonpositive inner product "
@@ -196,9 +214,12 @@ def single_vector_symmetry(p: Projection, v: Vector) -> SingleVectorResult:
     Steps: project and renormalize v; form the perpendicular coordinate
     slices y_i = v_i (P e_i - v_i v); greedily reorder them; cut at the
     smallest prefix k with |1/2 - sum alpha^2| <= delta_p/2; s is +1 on the
-    prefix coordinates and -1 elsewhere.  A v with a NaN or infinite entry,
-    and a v whose projection vanishes relative to max|v_i|, raise
-    ``ValueError``.
+    prefix coordinates and -1 elsewhere.  The slices are kept as their frame
+    coordinates z_i = F y_i = v_i (F e_i - v_i F v), an r x n array, never as
+    n-vectors: F^T z_i = y_i and F^T is an isometry, so the greedy sees the
+    same inner products up to roundoff.  ``unit_target`` and the final
+    guarantee check stay in R^n.  A v with a NaN or infinite entry, and a v
+    whose projection vanishes relative to max|v_i|, raise ``ValueError``.
     """
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():
@@ -220,28 +241,24 @@ def single_vector_symmetry(p: Projection, v: Vector) -> SingleVectorResult:
     alpha_sq = unit**2
 
     f = p.frame.rows
-    # Columns of P = F^T F, then y_i = unit_i * (P e_i - unit_i * unit).
-    pmat = f.T @ f
-    y = pmat * unit[None, :] - np.outer(unit, alpha_sq)
+    # Column i is z_i = unit_i * (F e_i - unit_i * F unit).
+    z = f * unit[None, :] - np.outer(f @ unit, alpha_sq)
     family = ZeroSumFamily(
-        y.T, sum_tolerance=max(1e-9 * float(np.linalg.norm(y, axis=0).sum()), 1e-12)
+        z.T, sum_tolerance=max(1e-9 * float(np.linalg.norm(z, axis=0).sum()), 1e-12)
     )
     perm = greedy_rearrange(family)
 
     ordered = alpha_sq[perm]
-    prefix = 0.0
-    k = -1
-    for kk in range(n + 1):
-        if abs(0.5 - prefix) <= delta / 2.0 + PREFIX_CUT_TOL:
-            k = kk
-            break
-        if kk < n:
-            prefix += float(ordered[kk])
-    if k < 0:
+    # np.cumsum adds in sequence, so prefixes[k] is sum(ordered[:k]) summed
+    # left to right from 0.0.
+    prefixes = np.concatenate(([0.0], np.cumsum(ordered)))
+    hits = np.flatnonzero(np.abs(0.5 - prefixes) <= delta / 2.0 + PREFIX_CUT_TOL)
+    if hits.size == 0:
         raise RuntimeError(
             "no prefix lands within delta_p/2 of 1/2; "
             "input is numerically inconsistent"
         )
+    k = int(hits[0])
 
     signs = -np.ones(n, dtype=np.int64)
     signs[perm[:k]] = 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,6 +39,25 @@ def test_family_rejects_nonzero_sum():
     assert len(fam) == 2 and fam.dim == 2
     # configurable tolerance admits slightly off-zero sums
     ZeroSumFamily([[1.0, 0.0], [-1.0, 1e-6]], sum_tolerance=1e-5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_family_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        ZeroSumFamily([[1.0, bad], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_family_rejects_non_finite_sum_tolerance(tol):
+    # Either value would pass a family that does not sum to zero and switch
+    # off the greedy's existence backstop.
+    with pytest.raises(ValueError, match="sum_tolerance"):
+        ZeroSumFamily([[1.0, 0.0], [1.0, 0.0]], sum_tolerance=tol)
+
+
+def test_family_rejects_negative_sum_tolerance():
+    with pytest.raises(ValueError, match="sum_tolerance"):
+        ZeroSumFamily([[1.0, 0.0], [-1.0, 0.0]], sum_tolerance=-1e-9)
 
 
 def test_prefix_property_examples():
@@ -169,8 +189,44 @@ def test_single_vector_projects_and_renormalizes():
     assert np.allclose(res.unit_target, np.array([1.0, 1.0]) / math.sqrt(2))
 
 
+def _assert_theorem_in_rn(p, v):
+    """The single-vector theorem, checked on the dense n-dimensional slices
+    y_i = unit_i (P e_i - unit_i unit) that the construction never builds."""
+    res = single_vector_symmetry(p, v)
+    unit, delta, k, perm = res.unit_target, res.delta_p, res.k, res.permutation
+    pcols = p.frame.rows.T @ p.frame.rows
+    y = pcols * unit[None, :] - np.outer(unit, unit * unit)
+    family = ZeroSumFamily(y.T, sum_tolerance=1e-9)
+    assert sorted(perm) == list(range(p.n))
+    if p.rank == 1:
+        # range(p) is spanned by unit, so every slice is zero up to
+        # roundoff and any order satisfies the theorem.
+        assert float(np.abs(y).max()) < 1e-14
+    else:
+        assert check_prefix_property(family, perm)
+    assert partial_sum_bound_holds(family, perm)
+    # the cut is the smallest prefix within delta/2 of 1/2, the prefix sums
+    # added left to right as a plain loop
+    assert np.array_equal(np.asarray(res.alpha_sq), unit[perm] ** 2)
+    prefixes = [0.0]
+    for a in res.alpha_sq:
+        prefixes.append(prefixes[-1] + a)
+    inside = [abs(0.5 - x) <= delta / 2 + 1e-12 for x in prefixes]
+    assert k == inside.index(True)
+    want_signs = -np.ones(p.n, dtype=np.int64)
+    want_signs[perm[:k]] = 1
+    assert np.array_equal(res.signs.signs, want_signs)
+    assert delta == float(p.diagonal().max())
+    assert res.bound == math.sqrt(2 * delta + 3 * delta * delta)
+    achieved = float(np.linalg.norm(apply_psp(p, res.signs, unit)))
+    assert res.achieved_norm == achieved <= res.bound + 1e-9
+    assert sum(res.alpha_sq) == pytest.approx(1.0, abs=1e-9)
+    return res
+
+
 def test_single_vector_guarantees_on_random_instances():
     rng = np.random.Generator(np.random.PCG64(271828))
+    ranks = set()
     for trial in range(40):
         n = int(rng.integers(2, 65))
         r = int(rng.integers(1, n + 1))
@@ -178,11 +234,9 @@ def test_single_vector_guarantees_on_random_instances():
         v = rng.standard_normal(n)
         if np.linalg.norm(p.apply(v)) < 1e-6:
             continue
-        res = single_vector_symmetry(p, v)
-        delta = res.delta_p
-        assert res.achieved_norm <= res.bound + 1e-9
-        assert abs(0.5 - sum(res.alpha_sq[: res.k])) <= delta / 2 + 1e-12
-        assert sum(res.alpha_sq) == pytest.approx(1.0, abs=1e-9)
+        _assert_theorem_in_rn(p, v)
+        ranks.add(r)
+    assert 1 in ranks and max(ranks) > 32
 
 
 def test_decomposition_identities():
@@ -217,7 +271,7 @@ def test_single_vector_on_the_exact_construction():
     m = 6
     p = float_projection(m)
     v0 = float_frame(m).rows[0]
-    res = single_vector_symmetry(p, v0)
+    res = _assert_theorem_in_rn(p, v0)
     delta = 2.0 / 49.0
     assert res.delta_p == pytest.approx(delta, abs=1e-12)
     assert res.bound == pytest.approx(math.sqrt(2 * delta + 3 * delta * delta))
@@ -225,3 +279,17 @@ def test_single_vector_on_the_exact_construction():
     # the guaranteed ceiling sits well above the 2*delta_p conjecture line,
     # which is why a single vector can refute "<= 2*delta_p" but not less
     assert res.bound > 2 * delta
+
+
+def test_single_vector_builds_no_n_by_n_array():
+    # One 4000 x 4000 float array is 128 MB; the r x n slices are 128 kB.
+    n = 4000
+    p = random_projection(n, 4, seed=5)
+    tracemalloc.start()
+    try:
+        res = single_vector_symmetry(p, np.ones(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert res.achieved_norm <= res.bound + 1e-9
