@@ -11,6 +11,7 @@ verification failure, 3 certification inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -229,9 +230,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built on the first main() call rather than at
+# import: parse_args never mutates it, and help, usage and --version look up
+# sys.stdout/sys.stderr when they print.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits on usage errors, -h and --version; in-process callers
+        # get the code back like every other outcome.
+        return exc.code
     try:
         return args.func(args)
     except BruteForceCapError as exc:

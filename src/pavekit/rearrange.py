@@ -51,8 +51,9 @@ class ZeroSumFamily:
     """A finite family of same-dimension vectors required to sum to zero.
 
     ``sum_tolerance`` defaults to 1e-9 times the total vector length mass;
-    construction fails if ||sum v_i|| exceeds it.  A non-finite entry, and a
-    ``sum_tolerance`` that is NaN, infinite or negative, raise ``ValueError``.
+    construction fails if ||sum v_i|| exceeds it.  A non-finite entry, a
+    vector whose squared norm overflows, and a ``sum_tolerance`` that is NaN,
+    infinite or negative, raise ``ValueError``.
     """
 
     __slots__ = ("vectors", "sum_tolerance")
@@ -65,9 +66,20 @@ class ZeroSumFamily:
             raise ValueError("expected a sequence of equal-length vectors")
         if not np.isfinite(a).all():
             raise ValueError("family has a NaN or infinite entry")
-        norms = np.linalg.norm(a, axis=1) if len(a) else np.zeros(0)
+        a.setflags(write=False)
+        object.__setattr__(self, "vectors", a)
+        # Norms are taken of a / peak and scaled back in Python floats, so no
+        # finite entry overflows them, however close to the float limit.
+        peak = float(np.abs(a).max(initial=0.0)) or 1.0
+        # An infinite scale() would make every slack built on it infinite.
+        with np.errstate(over="ignore"):
+            if self.scale() == math.inf:
+                raise ValueError(
+                    "vectors too large: max |entry| = %g, so the max squared "
+                    "vector norm overflows" % peak
+                )
         if sum_tolerance is None:
-            sum_tolerance = 1e-9 * float(norms.sum())
+            sum_tolerance = 1e-9 * peak * float(np.linalg.norm(a / peak, axis=1).sum())
         # An infinite or NaN tolerance would switch off both this check and
         # the greedy's existence backstop (x > nan is always False).
         sum_tolerance = float(sum_tolerance)
@@ -75,14 +87,12 @@ class ZeroSumFamily:
             raise ValueError(
                 "sum_tolerance must be finite and >= 0, got %r" % (sum_tolerance,)
             )
-        resid = float(np.linalg.norm(a.sum(axis=0))) if len(a) else 0.0
+        resid = peak * float(np.linalg.norm(a.sum(axis=0) / peak))
         if resid > sum_tolerance:
             raise ValueError(
                 "family does not sum to zero: ||sum|| = %g > tolerance %g"
                 % (resid, sum_tolerance)
             )
-        a.setflags(write=False)
-        object.__setattr__(self, "vectors", a)
         object.__setattr__(self, "sum_tolerance", sum_tolerance)
 
     def __setattr__(self, name, value):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -58,6 +59,25 @@ def test_family_rejects_non_finite_sum_tolerance(tol):
 def test_family_rejects_negative_sum_tolerance():
     with pytest.raises(ValueError, match="sum_tolerance"):
         ZeroSumFamily([[1.0, 0.0], [-1.0, 0.0]], sum_tolerance=-1e-9)
+
+
+@pytest.mark.parametrize("vectors, peak", [
+    ([[1e308, 1e308], [-1e308, -1e308]], "1e+308"),
+    ([[1e200, 0.0], [-1e200, 0.0]], "1e+200"),
+])
+def test_family_refuses_vectors_whose_squared_norm_overflows(vectors, peak):
+    # Exactly zero-sum, but scale() would be infinite and so would every
+    # slack built on it; refused by name, with no overflow warning (the
+    # suite turns warnings into errors).
+    with pytest.raises(ValueError, match=re.escape("too large: max |entry| = " + peak)):
+        ZeroSumFamily(vectors)
+
+
+def test_family_default_tolerance_is_scale_free_near_the_float_limit():
+    fam = ZeroSumFamily([[1e150, 0.0], [-1e150, 0.0]])
+    assert 0.0 < fam.sum_tolerance < math.inf
+    assert math.isfinite(fam.scale())
+    assert greedy_rearrange(fam) == [0, 1]
 
 
 def test_prefix_property_examples():
