@@ -41,7 +41,7 @@ Read off the displays: R is m^2 on the a and b classes of v_0; on v_i, R is
 (j > i), and D is 1 on d_i.  Orthonormality, the row norms and delta_p are
 decided in integer and rational arithmetic on these arrays.
 The largest diagonal entry of p is delta_p = 2/(m+1)^2 (the b-block value)
-for m >= 6.
+for every m >= 2, as 2m+1 < m^4, 1 < m^2 and m^2-1 < 2m^2 (a, c, d blocks).
 
 For a diagonal symmetry s write eps_i = s(a_i), eps'_i = s(b_i).  Expanding
 p s p (v_0) in the frame basis gives coefficients
@@ -304,7 +304,7 @@ def delta_p_exact(m: int) -> Fraction:
 
     Computed as the maximum of the four block values, summed from one built
     column per block (BLOCK_REPRESENTATIVES).  Equals 2/(m+1)^2 for every
-    m >= 6.
+    m >= 2.
     """
     _check_m(m)
     return max(_row_norms_sq(m, [_class_of(m, ix) for ix in BLOCK_REPRESENTATIVES.values()]))

@@ -212,8 +212,6 @@ def random_projection(n: int, r: int, seed: int) -> Projection:
     """
     if not 0 <= r <= n:
         raise ValueError("need 0 <= rank <= n, got rank=%d, n=%d" % (r, n))
-    if r == 0:
-        return Projection(OrthonormalFrame(np.zeros((0, n))))
     rng = np.random.Generator(np.random.PCG64(seed))
     for _attempt in range(32):
         x = rng.standard_normal((r, n))

@@ -29,6 +29,13 @@ F^T z_i = y_i, so every inner product, norm and zero-sum residual the
 greedy and its checks see is the same up to roundoff.  The greedy then
 costs O(n^2 r) time and O(n r) memory, where the n-vectors y_i would cost
 O(n^3) and O(n^2).
+
+The greedy and both checks share one slack for "nonpositive": <v, w> may
+exceed zero by PREFIX_TOL * scale() plus sum_tolerance * ||w||, since the
+family sums only to within sum_tolerance of zero, so the vectors left after
+w sum to within that of -w.  As ||w + v||^2 = ||w||^2 + 2<v, w> + ||v||^2,
+``partial_sum_bound_holds`` allows twice the summed slack, so it holds
+wherever ``check_prefix_property`` does.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ import numpy as np
 from .linalg import Projection, Symmetry, Vector, apply_psp
 
 PREFIX_TOL = 1e-10      # slack for "nonpositive" inner products, times scale
-SUM_BOUND_TOL = 1e-9    # slack in the partial-sum bound check
 PREFIX_CUT_TOL = 1e-12  # slack in the |1/2 - prefix| <= delta/2 cut
 DEGENERATE_TOL = 1e-10  # ||p(v)|| below this is a degenerate input
 
@@ -56,7 +62,7 @@ class ZeroSumFamily:
     infinite or negative, raise ``ValueError``.
     """
 
-    __slots__ = ("vectors", "sum_tolerance")
+    __slots__ = ("vectors", "sum_tolerance", "_scale")
 
     def __init__(self, vectors, sum_tolerance: float | None = None):
         a = np.array(vectors, dtype=float)
@@ -73,7 +79,8 @@ class ZeroSumFamily:
         peak = float(np.abs(a).max(initial=0.0)) or 1.0
         # An infinite scale() would make every slack built on it infinite.
         with np.errstate(over="ignore"):
-            if self.scale() == math.inf:
+            object.__setattr__(self, "_scale", float((a**2).sum(axis=1).max(initial=0.0)))
+            if self._scale == math.inf:
                 raise ValueError(
                     "vectors too large: max |entry| = %g, so the max squared "
                     "vector norm overflows" % peak
@@ -107,9 +114,7 @@ class ZeroSumFamily:
 
     def scale(self) -> float:
         """Max squared vector norm; the reference scale for inner-product slack."""
-        if len(self) == 0:
-            return 0.0
-        return float((self.vectors ** 2).sum(axis=1).max())
+        return self._scale
 
 
 def _check_order(family: ZeroSumFamily, order) -> list[int]:
@@ -119,33 +124,32 @@ def _check_order(family: ZeroSumFamily, order) -> list[int]:
     return order
 
 
+def _slack(family: ZeroSumFamily, w_norm):
+    """How far above zero <v, w> counts as nonpositive, for ||w|| = w_norm."""
+    return PREFIX_TOL * family.scale() + family.sum_tolerance * w_norm
+
+
+def _walk(family: ZeroSumFamily, order):
+    """Reordered vectors x_i, partial sums w_0 = 0, ..., w_k, slacks at w_{i-1}."""
+    x = family.vectors[_check_order(family, order)]
+    w = np.zeros((len(x) + 1, family.dim))
+    np.cumsum(x, axis=0, out=w[1:])
+    return x, w, _slack(family, np.linalg.norm(w[:-1], axis=1))
+
+
 def check_prefix_property(family: ZeroSumFamily, order) -> bool:
     """True iff each reordered vector has inner product <= slack with the
     partial sum of its predecessors."""
-    order = _check_order(family, order)
-    tol = PREFIX_TOL * family.scale()
-    v = family.vectors
-    w = np.zeros(family.dim)
-    for step, idx in enumerate(order):
-        if step > 0 and float(v[idx] @ w) > tol:
-            return False
-        w = w + v[idx]
-    return True
+    x, w, slack = _walk(family, order)
+    return bool((np.einsum("ij,ij->i", x, w[:-1]) <= slack).all())
 
 
 def partial_sum_bound_holds(family: ZeroSumFamily, order) -> bool:
     """True iff every partial sum satisfies ||w_i||^2 <= sum_{j<=i} ||v_j||^2
-    (plus slack).  Guaranteed whenever check_prefix_property holds."""
-    order = _check_order(family, order)
-    v = family.vectors
-    w = np.zeros(family.dim)
-    budget = 0.0
-    for idx in order:
-        w = w + v[idx]
-        budget += float(v[idx] @ v[idx])
-        if float(w @ w) > budget + SUM_BOUND_TOL:
-            return False
-    return True
+    plus twice the summed slack.  Implied by check_prefix_property."""
+    x, w, slack = _walk(family, order)
+    budget = np.cumsum(np.einsum("ij,ij->i", x, x) + 2.0 * slack)
+    return bool((np.einsum("ij,ij->i", w[1:], w[1:]) <= budget).all())
 
 
 def greedy_rearrange(family: ZeroSumFamily) -> list[int]:
@@ -162,7 +166,6 @@ def greedy_rearrange(family: ZeroSumFamily) -> list[int]:
     if k == 0:
         return []
     v = family.vectors
-    base_tol = PREFIX_TOL * family.scale()
     order = [0]
     used = np.zeros(k, dtype=bool)
     used[0] = True
@@ -171,10 +174,7 @@ def greedy_rearrange(family: ZeroSumFamily) -> list[int]:
         dots = v @ w
         dots[used] = np.inf
         idx = int(dots.argmin())  # first minimum = smallest index on ties
-        # The remaining vectors sum to rho - w with ||rho|| <= sum_tolerance,
-        # so the best inner product is at most ||rho||*||w|| above zero; the
-        # slack must admit that much.
-        tol = base_tol + family.sum_tolerance * math.sqrt(float(w @ w))
+        tol = _slack(family, math.sqrt(float(w @ w)))
         if float(dots[idx]) > tol:
             raise ValueError(
                 "no remaining vector has nonpositive inner product "

@@ -182,8 +182,8 @@ def test_delta_p_values():
     assert time.perf_counter() - start < 1.0
 
 
-def test_b_block_strictly_dominates_for_m_at_least_6():
-    for m in range(6, 13):
+def test_b_block_strictly_dominates_for_m_at_least_2():
+    for m in range(2, 13):
         vals = block_formulas(m)
         assert vals["b"] > vals["a"]
         assert vals["b"] > vals["c"]

@@ -96,7 +96,7 @@ def test_operator_norm_against_lapack_oracle():
         assert abs(mine - ref) <= 1e-10 * max(1.0, ref)
 
 
-def test_operator_norm_power_iteration_path():
+def test_operator_norm_of_a_300x300_matrix_with_a_negative_dominant_eigenvalue():
     # a 300 x 300 matrix with a known spectrum whose extreme eigenvalue is
     # negative: the norm is its absolute value, not the largest eigenvalue
     rng = np.random.Generator(np.random.PCG64(5))
@@ -134,6 +134,7 @@ def test_apply_psp_examples():
 def test_random_projection_edges_and_determinism():
     z = random_projection(4, 0, seed=9)
     assert z.rank == 0
+    assert z.frame.rows.shape == (0, 4)
     full = random_projection(4, 4, seed=9).frame.rows
     assert np.abs(full.T @ full - np.eye(4)).max() < 1e-9
     a = random_projection(8, 3, seed=42)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pavekit.counterexample import float_frame, float_projection
 from pavekit.linalg import (
@@ -148,6 +150,83 @@ def test_greedy_satisfies_both_partial_sum_properties_on_random_corpus():
         assert partial_sum_bound_holds(fam, order)
 
 
+def test_both_checks_accept_the_greedy_order_on_single_vector_families():
+    # The family single_vector_symmetry hands the greedy, rebuilt from its
+    # result.  On rank 1 every slice is roundoff, so only a slack that grows
+    # with sum_tolerance * ||w||, as the greedy's does, accepts its order.
+    rng = np.random.Generator(np.random.PCG64(4242))
+    rank1_draws = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 65))
+        r = int(rng.integers(1, n + 1))
+        p = random_projection(n, r, seed=int(rng.integers(0, 2**31)))
+        v = rng.standard_normal(n)
+        if np.linalg.norm(p.apply(v)) < 1e-6:
+            continue
+        res = single_vector_symmetry(p, v)
+        unit, f = res.unit_target, p.frame.rows
+        z = f * unit[None, :] - np.outer(f @ unit, unit**2)
+        family = ZeroSumFamily(
+            z.T, sum_tolerance=max(1e-9 * float(np.linalg.norm(z, axis=0).sum()), 1e-12)
+        )
+        assert greedy_rearrange(family) == res.permutation
+        assert check_prefix_property(family, res.permutation)
+        assert partial_sum_bound_holds(family, res.permutation)
+        rank1_draws += r == 1
+    assert rank1_draws >= 10
+
+
+@pytest.mark.parametrize("k", [-400, -20, 20, 400])
+def test_check_verdicts_do_not_depend_on_the_family_scale(k):
+    # Multiplying by 2^k is exact, so every inner product, norm, scale() and
+    # default sum_tolerance scales exactly and no verdict may change.
+    rng = np.random.Generator(np.random.PCG64(7_000))
+    for _ in range(100):
+        dim = int(rng.integers(2, 17))
+        size = int(rng.integers(2, 41))
+        fam = random_zero_sum_family(rng, dim, size)
+        scaled = ZeroSumFamily(np.ldexp(fam.vectors, k))
+        for order in (greedy_rearrange(fam), range(size), range(size - 1, -1, -1)):
+            for check in (check_prefix_property, partial_sum_bound_holds):
+                assert check(scaled, order) == check(fam, order)
+
+
+def test_prefix_property_within_slack_implies_the_bound():
+    # <v_2, w_1> = 7.6e-10 is positive but within PREFIX_TOL * scale() = 8e-10,
+    # so ||w_2||^2 exceeds ||v_1||^2 + ||v_2||^2 by about 1.5e-9; the bound's
+    # budget must grow by the same slack.
+    fam = ZeroSumFamily([[2.0, 0.0], [3.8e-10, 2.0], [-2.0 - 3.8e-10, -2.0]])
+    assert check_prefix_property(fam, [0, 1, 2])
+    assert partial_sum_bound_holds(fam, [0, 1, 2])
+
+
+@st.composite
+def ordered_families(draw):
+    """A small zero-sum family with integer entries, some nudged by a few
+    PREFIX_TOL so that inner products land just above zero, and a random
+    order of it."""
+    dim = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 7))
+    entry = st.builds(
+        lambda a, b: a + b,
+        st.integers(-3, 3),
+        st.sampled_from([0.0, 1e-10, -1e-10, 3.8e-10, -5e-10]),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                         min_size=size - 1, max_size=size - 1))
+    v = np.array(rows, dtype=float).reshape(size - 1, dim)
+    fam = ZeroSumFamily(np.vstack([v, -v.sum(axis=0)]))
+    return fam, draw(st.permutations(range(size)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordered_families())
+def test_prefix_property_implies_partial_sum_bound(case):
+    fam, order = case
+    if check_prefix_property(fam, order):
+        assert partial_sum_bound_holds(fam, order)
+
+
 def test_single_vector_full_cancellation_on_rank1():
     p = rank1([1.0, 1.0])
     v = np.array([1.0, 1.0]) / math.sqrt(2)
@@ -218,12 +297,7 @@ def _assert_theorem_in_rn(p, v):
     y = pcols * unit[None, :] - np.outer(unit, unit * unit)
     family = ZeroSumFamily(y.T, sum_tolerance=1e-9)
     assert sorted(perm) == list(range(p.n))
-    if p.rank == 1:
-        # range(p) is spanned by unit, so every slice is zero up to
-        # roundoff and any order satisfies the theorem.
-        assert float(np.abs(y).max()) < 1e-14
-    else:
-        assert check_prefix_property(family, perm)
+    assert check_prefix_property(family, perm)
     assert partial_sum_bound_holds(family, perm)
     # the cut is the smallest prefix within delta/2 of 1/2, the prefix sums
     # added left to right as a plain loop
