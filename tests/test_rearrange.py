@@ -99,6 +99,12 @@ def test_partial_sum_bound_examples():
     assert partial_sum_bound_holds(fam, [0, 1])  # {1, 0} <= {1, 2}
     single = ZeroSumFamily([[0.0, 0.0]])
     assert partial_sum_bound_holds(single, [0])  # ||w_1||^2 == ||v_1||^2
+    # <v_2, w_1> = 7.6e-10 is positive but within PREFIX_TOL * scale() = 8e-10,
+    # so ||w_2||^2 exceeds ||v_1||^2 + ||v_2||^2 by about 1.5e-9; the bound's
+    # budget grows by the same slack.
+    within = ZeroSumFamily([[2.0, 0.0], [3.8e-10, 2.0], [-2.0 - 3.8e-10, -2.0]])
+    assert check_prefix_property(within, [0, 1, 2])
+    assert partial_sum_bound_holds(within, [0, 1, 2])
 
 
 def test_partial_sum_bound_can_fail_without_prefix_property():
@@ -189,15 +195,6 @@ def test_check_verdicts_do_not_depend_on_the_family_scale(k):
         for order in (greedy_rearrange(fam), range(size), range(size - 1, -1, -1)):
             for check in (check_prefix_property, partial_sum_bound_holds):
                 assert check(scaled, order) == check(fam, order)
-
-
-def test_prefix_property_within_slack_implies_the_bound():
-    # <v_2, w_1> = 7.6e-10 is positive but within PREFIX_TOL * scale() = 8e-10,
-    # so ||w_2||^2 exceeds ||v_1||^2 + ||v_2||^2 by about 1.5e-9; the bound's
-    # budget must grow by the same slack.
-    fam = ZeroSumFamily([[2.0, 0.0], [3.8e-10, 2.0], [-2.0 - 3.8e-10, -2.0]])
-    assert check_prefix_property(fam, [0, 1, 2])
-    assert partial_sum_bound_holds(fam, [0, 1, 2])
 
 
 @st.composite
