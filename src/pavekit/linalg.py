@@ -4,7 +4,10 @@ symmetries, and the symmetric operator norm.
 A projection is represented by an orthonormal frame of its range (rows of an
 r x n matrix F), so p = F^T F.  Compressions p s p are evaluated as the small
 r x r matrix F S F^T, which has the same operator norm because F^T restricted
-to the coordinate space is an isometry onto range(p).  The operator norm is
+to the coordinate space is an isometry onto range(p).  One kernel,
+``compressions``, forms them: a stack F diag(w) F^T for many weight rows w in
+one batched matmul, each matrix the same product ``compress_psp`` forms for a
+single sign vector.  The operator norm is
 read off the extreme eigenvalues from LAPACK's symmetric eigensolver
 (``numpy.linalg.eigvalsh``).  Matrices and frames with a non-finite entry
 are rejected at construction, so no NaN reaches an eigensolve.
@@ -27,26 +30,36 @@ SYMMETRY_TOL = 1e-12        # relative asymmetry accepted at construction
 FRAME_GRAM_TOL = 1e-10      # max |<v_i, v_j> - delta_ij| accepted for a frame
 
 
+def _max_abs(x: np.ndarray):
+    # The ufunc reduce itself skips ndarray.max's Python-level wrapper, which
+    # is a measurable share of a reduction over an r x r matrix.
+    return np.maximum.reduce(np.abs(x), axis=None)
+
+
 class SymmetricMatrix:
     """Dense real symmetric matrix, symmetrized and validated at construction."""
 
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        a = np.array(mat, dtype=float)
+        a = np.asarray(mat, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
+        # Halving first is exact (short of subnormals), so h + h.T has the
+        # bits of (a + a.T) / 2 and h - h.T those of (a - a.T) / 2, and
+        # neither can overflow for finite entries.
+        h = 0.5 * a
         if a.size:
             # NaN and +-inf propagate through the max, so one reduction both
             # scales the symmetry check and rejects non-finite entries.
-            scale = float(np.abs(a).max())
+            scale = float(_max_abs(a))
             if not math.isfinite(scale):
                 raise ValueError("matrix entries must be finite")
-            if scale and float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
+            if scale and float(_max_abs(h - h.T)) > 0.5 * SYMMETRY_TOL * scale:
                 raise ValueError("matrix is not symmetric within tolerance")
-        a = (a + a.T) / 2.0
-        a.setflags(write=False)
-        object.__setattr__(self, "mat", a)
+        h = h + h.T
+        h.setflags(write=False)
+        object.__setattr__(self, "mat", h)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymmetricMatrix is immutable")
@@ -169,6 +182,20 @@ class Symmetry:
 # -- operations ---------------------------------------------------------------
 
 
+def compressions(p: Projection, rows) -> np.ndarray:
+    """The (k, r, r) stack of F diag(w) F^T, one for each of the k rows w.
+
+    One batched matmul over the stack; each matrix has the bits of the
+    single product ``(f * w) @ f.T``, so it does not depend on which rows
+    share its batch.  Memory is k*r*(n + r) floats: callers bound k.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != p.n:
+        raise ValueError("expected rows of length n=%d, got shape %s" % (p.n, rows.shape))
+    f = p.frame.rows
+    return np.matmul(f * rows[:, None, :], f.T)
+
+
 def compress_psp(p: Projection, s: Symmetry) -> SymmetricMatrix:
     """The r x r compression M = F S F^T with S = diag(signs).
 
@@ -177,8 +204,7 @@ def compress_psp(p: Projection, s: Symmetry) -> SymmetricMatrix:
     """
     if s.n != p.n:
         raise ValueError("dimension mismatch: symmetry n=%d vs projection n=%d" % (s.n, p.n))
-    f = p.frame.rows
-    return SymmetricMatrix((f * s.signs) @ f.T)
+    return SymmetricMatrix(compressions(p, s.signs[None, :])[0])
 
 
 def apply_psp(p: Projection, s: Symmetry, v: Vector) -> Vector:

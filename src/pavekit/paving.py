@@ -2,8 +2,10 @@
 
 Exhaustive minimum of ||psp|| over diagonal symmetries for small n (one
 search over the sign vectors in lexicographic order, shared with the
-single-vector minimum, building each r x r compression afresh from the
-frame, with ties going to the lex-smallest sign vector), Conjecture A /
+single-vector minimum, with ties going to the lex-smallest sign vector; the
+r x r compressions of a chunk of sign vectors come from one batched matmul,
+each matrix the same product ``compress_psp`` forms, so a norm does not
+depend on where the search meets it), Conjecture A /
 Conjecture B instance tests, the paving-pair quantity
 max(||qpq||, ||(1-q)p(1-q)||) against its 1/2 + delta_p threshold, and a
 deterministic seeded scan harness that emits machine-readable records.
@@ -29,6 +31,7 @@ from .linalg import (
     Symmetry,
     SymmetricMatrix,
     Vector,
+    compressions,
     operator_norm,
     random_projection,
 )
@@ -43,6 +46,10 @@ TIE_TOL = 8 * float(np.finfo(float).eps)
 # Sign vectors per batch of the exhaustive search: about 2.5 MB of signs at
 # n = 20, whatever the total count.
 SIGN_CHUNK = 1 << 14
+# Floats per chunk of compressions, r*(n + r) per sign vector for the
+# frame-times-signs broadcast and the r x r stack together: 4 MB, so the
+# exhaustive search shortens its chunks below SIGN_CHUNK as r grows.
+COMPRESSION_BLOCK = 1 << 19
 
 
 class BruteForceCapError(ValueError):
@@ -61,11 +68,11 @@ def delta_p_numeric(p: Projection) -> float:
     return float(p.diagonal().max())
 
 
-def _min_over_signs(n: int, max_n: int, norms_of) -> tuple[float, Symmetry]:
+def _min_over_signs(n: int, max_n: int, norms_of, chunk: int) -> tuple[float, Symmetry]:
     """Exhaustive minimum of ``norms_of`` over the 2^(n-1) sign vectors.
 
     The first sign is pinned to +1 (s and -s give the same norm).  The sign
-    vectors are visited in lexicographic order (-1 before +1), SIGN_CHUNK
+    vectors are visited in lexicographic order (-1 before +1), ``chunk``
     float rows at a time; ``norms_of`` maps each chunk to its norms.
     Returns the smallest norm and, among the sign vectors whose norm is
     within TIE_TOL of it, the lexicographically smallest.
@@ -84,8 +91,8 @@ def _min_over_signs(n: int, max_n: int, norms_of) -> tuple[float, Symmetry]:
     # keep those, in order, while they stay within TIE_TOL of the best so
     # far, and the first one left at the end is the answer.
     ties: list[tuple[float, np.ndarray]] = []
-    for start in range(0, count, SIGN_CHUNK):
-        codes = np.arange(start, min(start + SIGN_CHUNK, count))
+    for start in range(0, count, chunk):
+        codes = np.arange(start, min(start + chunk, count))
         rows = np.ones((codes.size, n))
         rows[:, 1:] = 2.0 * ((codes[:, None] >> shifts) & 1) - 1.0
         norms = norms_of(rows)
@@ -99,10 +106,12 @@ def _min_over_signs(n: int, max_n: int, norms_of) -> tuple[float, Symmetry]:
 def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, Symmetry]:
     """Exact-by-exhaustion minimum of ||psp|| over diagonal symmetries.
 
-    Each compression F S F^T is built afresh, so a sign vector's norm does
-    not depend on where the search meets it.  Returns the smallest norm and
-    the lexicographically smallest sign vector (first sign +1) within
-    TIE_TOL of it.
+    The compressions F S F^T of each chunk of sign vectors come from one
+    batched matmul (``linalg.compressions``; a chunk holds at most
+    COMPRESSION_BLOCK floats), each matrix the same product ``compress_psp``
+    forms, so a sign vector's norm does not depend on where the search
+    meets it.  Returns the smallest norm and the lexicographically smallest
+    sign vector (first sign +1) within TIE_TOL of it.
     """
     n = p.n
     if p.rank == 0 and 1 <= n <= max_n:
@@ -112,12 +121,13 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
         signs = -np.ones(n, dtype=np.int64)
         signs[0] = 1
         return 0.0, Symmetry(signs)
-    f = p.frame.rows
+    r = p.rank
+    chunk = min(SIGN_CHUNK, max(1, COMPRESSION_BLOCK // max(1, r * (n + r))))
 
     def norms_of(rows):
-        return np.array([operator_norm(SymmetricMatrix((f * s) @ f.T)) for s in rows])
+        return np.array([operator_norm(SymmetricMatrix(c)) for c in compressions(p, rows)])
 
-    return _min_over_signs(n, max_n, norms_of)
+    return _min_over_signs(n, max_n, norms_of, chunk)
 
 
 def brute_force_min_vector(
@@ -134,7 +144,9 @@ def brute_force_min_vector(
         raise ValueError("v has a NaN or infinite entry")
     pv = p.apply(v)
     f = p.frame.rows
-    return _min_over_signs(p.n, max_n, lambda rows: np.linalg.norm((rows * pv) @ f.T, axis=1))
+    return _min_over_signs(
+        p.n, max_n, lambda rows: np.linalg.norm((rows * pv) @ f.T, axis=1), SIGN_CHUNK
+    )
 
 
 class PavingPair(NamedTuple):
@@ -147,10 +159,8 @@ def paving_pair(p: Projection, q_signs: Symmetry) -> PavingPair:
     the +1 positions, together with the threshold 1/2 + delta_p."""
     if q_signs.n != p.n:
         raise ValueError("dimension mismatch")
-    f = p.frame.rows
     mask = q_signs.signs > 0
-    a = operator_norm(SymmetricMatrix(f[:, mask] @ f[:, mask].T))
-    b = operator_norm(SymmetricMatrix(f[:, ~mask] @ f[:, ~mask].T))
+    a, b = (operator_norm(SymmetricMatrix(c)) for c in compressions(p, [mask, ~mask]))
     return PavingPair(max(a, b), 0.5 + delta_p_numeric(p))
 
 

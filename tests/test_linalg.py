@@ -11,6 +11,7 @@ from pavekit.linalg import (
     SymmetricMatrix,
     apply_psp,
     compress_psp,
+    compressions,
     operator_norm,
     random_projection,
 )
@@ -28,6 +29,36 @@ def test_symmetric_matrix_validates_and_symmetrizes():
         SymmetricMatrix([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(ValueError):
         SymmetricMatrix(np.zeros((2, 3)))
+
+
+def test_symmetric_matrix_stores_the_mean_of_a_and_its_transpose():
+    rng = np.random.Generator(np.random.PCG64(8))
+    for n in (1, 2, 5, 9):
+        a = rng.standard_normal((n, n))
+        a = a + a.T + 1e-14 * rng.standard_normal((n, n))  # asymmetric within tolerance
+        m = SymmetricMatrix(a)
+        assert np.array_equal(m.mat, (a + a.T) / 2.0)  # bitwise
+        assert np.array_equal(m.mat, m.mat.T)
+        assert a.flags.writeable and not m.mat.flags.writeable
+        a[0, 0] += 1.0  # the caller's array is not shared
+        assert not np.array_equal(m.mat, (a + a.T) / 2.0)
+
+
+@pytest.mark.parametrize("entries, norm", [
+    ([[0.0, 1.7e308], [1.7e308, 0.0]], 1.7e308),
+    ([[1.5e308, 0.0], [0.0, 1.0]], 1.5e308),
+])
+def test_huge_finite_entries_neither_overflow_nor_lose_the_norm(entries, norm):
+    # pytest turns warnings into errors, so an overflow in the symmetrization
+    # fails here; (a + a.T) / 2 overflowed to inf and the norm read 0.0
+    m = SymmetricMatrix(entries)
+    assert np.isfinite(m.mat).all()
+    assert operator_norm(m) == norm
+
+
+def test_huge_asymmetric_matrix_is_refused_without_overflow():
+    with pytest.raises(ValueError, match="symmetric"):
+        SymmetricMatrix([[0.0, 1.7e308], [-1.7e308, 0.0]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -74,6 +105,25 @@ def test_compress_psp_examples():
     assert np.allclose(compress_psp(p, Symmetry([1, 1])).mat, [[1.0]])
     with pytest.raises(ValueError):
         compress_psp(p, Symmetry([1, 1, 1]))
+
+
+def test_compressions_stack_the_single_products():
+    rng = np.random.Generator(np.random.PCG64(10))
+    for n, r in ((1, 1), (4, 0), (6, 2), (10, 5), (10, 10), (16, 7)):
+        p = random_projection(n, r, seed=n + r)
+        f = p.frame.rows
+        rows = rng.choice([-1.0, 1.0], size=(9, n))
+        rows[0] = rng.random(n)  # any weights, not only signs
+        stack = compressions(p, rows)
+        assert stack.shape == (9, r, r)
+        for w, c in zip(rows, stack):
+            assert np.array_equal(c, (f * w) @ f.T)  # bitwise, whatever the batch
+        s = Symmetry(rows[1])
+        assert np.array_equal(compress_psp(p, s).mat, SymmetricMatrix((f * s.signs) @ f.T).mat)
+    assert compressions(p, np.zeros((0, 16))).shape == (0, 7, 7)
+    for bad in (np.ones(16), np.ones((2, 15))):
+        with pytest.raises(ValueError, match="rows"):
+            compressions(p, bad)
 
 
 def test_operator_norm_examples():

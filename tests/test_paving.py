@@ -129,6 +129,20 @@ def test_tie_rule_is_lex_smallest_within_tie_tol(monkeypatch):
             assert tuple(argmin.signs[1:].tolist()) == expected
 
 
+def test_brute_force_min_does_not_depend_on_the_chunk_size(monkeypatch):
+    # a compression has the same bits wherever its sign vector sits in the
+    # batched matmul, so chunks of 1, 4 and 2^14 give the same minimum and
+    # argmin; rank 8 of 8 is p = I up to roundoff, where every norm ties
+    for rank in (1, 3, 5, 8):
+        p = random_projection(8, rank, seed=11)
+        found = set()
+        for chunk in (1, 4, 1 << 14):
+            monkeypatch.setattr(paving, "SIGN_CHUNK", chunk)
+            mn, argmin = brute_force_min(p)
+            found.add((mn, tuple(argmin.signs.tolist())))
+        assert len(found) == 1
+
+
 def test_tie_rule_on_permuted_degenerate_instances():
     # p = vv^T with v = (1, 1, 2, 2, 3, 3) permuted: ||psp|| = |sum s_i v_i^2|
     # / ||v||^2, which is zero (up to roundoff) exactly when the integer sum
@@ -239,6 +253,23 @@ def test_brute_force_min_vector_memory_is_bounded():
     tracemalloc.start()
     try:
         brute_force_min_vector(p, np.ones(18))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_brute_force_min_memory_is_bounded(monkeypatch):
+    # r = n is the largest compression stack: a whole chunk of 2^14 sign
+    # vectors would take 2^14 * 18 * (18 + 18) floats, 85 MB.  The eigensolve
+    # per symmetry only makes r x r temporaries, so it is stubbed: under
+    # tracemalloc the 2^17 real ones would take most of a minute.
+    monkeypatch.setattr(paving, "SymmetricMatrix", lambda c: c)
+    monkeypatch.setattr(paving, "operator_norm", lambda c: 1.0)
+    p = random_projection(18, 18, seed=4)
+    tracemalloc.start()
+    try:
+        brute_force_min(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

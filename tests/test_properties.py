@@ -12,7 +12,7 @@ from pavekit.linalg import (
     operator_norm,
     random_projection,
 )
-from pavekit.paving import brute_force_min
+from pavekit.paving import brute_force_min, paving_pair
 
 
 @st.composite
@@ -46,3 +46,15 @@ def test_global_sign_flip_keeps_the_norm(case, data):
     signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=p.n, max_size=p.n))
     s = Symmetry(signs)
     assert abs(operator_norm(compress_psp(p, -s)) - operator_norm(compress_psp(p, s))) <= 1e-15
+
+
+@settings(max_examples=50, deadline=None)
+@given(instances(), st.data())
+def test_paving_identity(case, data):
+    # for s = 2q - 1 the compression F S F^T is 2 F_Q F_Q^T - I, so
+    # ||psp|| = 2 max(||qpq||, ||(1-q)p(1-q)||) - 1 at every rank >= 1
+    p, _ = case
+    signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=p.n, max_size=p.n))
+    s = Symmetry(signs)
+    norm = operator_norm(compress_psp(p, s))
+    assert abs(norm - (2.0 * paving_pair(p, s).maxnorm - 1.0)) <= 1e-12
