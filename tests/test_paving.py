@@ -263,7 +263,7 @@ def test_brute_force_min_memory_is_bounded(monkeypatch):
     # r = n is the largest compression stack: a whole chunk of 2^14 sign
     # vectors would take 2^14 * 18 * (18 + 18) floats, 85 MB.  The eigensolve
     # per symmetry only makes r x r temporaries, so it is stubbed: under
-    # tracemalloc the 2^17 real ones would take most of a minute.
+    # tracemalloc the 2^17 real ones take about 15 s.
     monkeypatch.setattr(paving, "SymmetricMatrix", lambda c: c)
     monkeypatch.setattr(paving, "operator_norm", lambda c: 1.0)
     p = random_projection(18, 18, seed=4)
