@@ -24,6 +24,7 @@ from .linalg import (
     SymmetricMatrix,
     apply_psp,
     compress_psp,
+    delta_p_numeric,
     operator_norm,
     random_projection,
 )
@@ -58,7 +59,6 @@ from .paving import (
     brute_force_min_vector,
     conjectureA_test,
     conjectureB_probe,
-    delta_p_numeric,
     paving_pair,
     scan,
 )
@@ -71,6 +71,7 @@ __all__ = [
     "SymmetricMatrix",
     "apply_psp",
     "compress_psp",
+    "delta_p_numeric",
     "operator_norm",
     "random_projection",
     "BasisIndex",
@@ -99,7 +100,6 @@ __all__ = [
     "brute_force_min_vector",
     "conjectureA_test",
     "conjectureB_probe",
-    "delta_p_numeric",
     "paving_pair",
     "scan",
 ]

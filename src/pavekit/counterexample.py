@@ -24,7 +24,7 @@ Every entry is rational except on the d block, where entries are rational
 multiples of sqrt(rho), rho = (m-1)/(m+1).  The frame has few distinct
 columns: every a_j carries the same column, and so does every d_{ij} of one
 i.  ``ExactFrame`` therefore stores one column per coordinate class, in the
-canonical order
+canonical order, which the one layout table ``_blocks(m)`` lists
 
     a  (multiplicity m^2),
     b_1, ..., b_{2m+1},  then the c_{ij} in lexicographic order  (1 each),
@@ -65,6 +65,10 @@ exceeds (2*delta_p)^2 exactly once m >= 8: no diagonal symmetry gets within
 2*delta_p of cancelling p, refuting the "||psp|| <= 2 delta_p" paving
 conjecture (Conjecture A).  Signs on the c and d blocks never matter because
 v_0 is supported on a and b alone.
+
+Integer arguments (m, alpha, beta, index fields, profile signs) follow one
+rule: any ``numbers.Integral`` but ``bool``, taken as a Python int; anything
+else, or a value out of range, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,26 +92,49 @@ MIN_M = 2
 ANALYTIC_MIN_M = 6
 
 
-def _check_m(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < MIN_M:
-        raise ValueError("m must be an integer >= %d, got %r" % (MIN_M, m))
+def _integer(name: str, x, lo: int, hi: int | None = None) -> int:
+    # The one integer rule (see the module docstring).
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+        raise ValueError("%s must be an integer, got %r" % (name, x))
+    x = int(x)
+    if x < lo or (hi is not None and x > hi):
+        span = ">= %d" % lo if hi is None else "in [%d, %d]" % (lo, hi)
+        raise ValueError("%s must be an integer %s, got %d" % (name, span, x))
+    return x
+
+
+class _Block(NamedTuple):
+    start: int  # class number of the block's first class
+    classes: int
+    mult: int  # coordinates per class
+
+    @property
+    def size(self) -> int:
+        return self.classes * self.mult
+
+
+def _blocks(m: int) -> tuple[int, dict[str, _Block]]:
+    """m checked, and its coordinate layout: the a, b, c, d blocks in
+    canonical class order."""
+    m = _integer("m", m, MIN_M)
+    w = 2 * m + 1
+    layout, start = {}, 0
+    for name, classes, mult in (("a", 1, m * m), ("b", w, 1), ("c", w * (w - 1) // 2, 1),
+                                ("d", w, (m + 1) ** 2)):
+        layout[name] = _Block(start, classes, mult)
+        start += classes
+    return m, layout
 
 
 def dimension(m: int) -> int:
     """Ambient dimension 2m^3 + 8m^2 + 7m + 2 (= sum of the block sizes)."""
-    _check_m(m)
+    m = _integer("m", m, MIN_M)
     return 2 * m**3 + 8 * m**2 + 7 * m + 2
 
 
 def block_sizes(m: int) -> dict[str, int]:
     """Sizes of the a, b, c, d coordinate blocks."""
-    _check_m(m)
-    return {
-        "a": m * m,
-        "b": 2 * m + 1,
-        "c": m * (2 * m + 1),
-        "d": (2 * m + 1) * (m + 1) ** 2,
-    }
+    return {k: b.size for k, b in _blocks(m)[1].items()}
 
 
 @dataclass(frozen=True)
@@ -135,24 +163,6 @@ class BasisIndex:
     def d(cls, i: int, j: int) -> "BasisIndex":
         return cls("d", i, j)
 
-    def validate(self, m: int) -> None:
-        _check_m(m)
-        ok = False
-        if self.block == "a":
-            ok = self.j is None and 1 <= self.i <= m * m
-        elif self.block == "b":
-            ok = self.j is None and 1 <= self.i <= 2 * m + 1
-        elif self.block == "c":
-            ok = self.j is not None and 1 <= self.i < self.j <= 2 * m + 1
-        elif self.block == "d":
-            ok = (
-                self.j is not None
-                and 1 <= self.i <= 2 * m + 1
-                and 1 <= self.j <= (m + 1) ** 2
-            )
-        if not ok:
-            raise ValueError("index %r out of bounds for m=%d" % (self, m))
-
 
 @dataclass(frozen=True, eq=False)
 class ExactFrame:
@@ -177,59 +187,60 @@ class ExactFrame:
         return self.R.shape[0]
 
 
-def _class_of(m: int, index: BasisIndex) -> int:
-    # The class number of a coordinate in the canonical class order.
-    index.validate(m)
-    w = 2 * m + 1
+def _class_of(layout: dict[str, _Block], index: BasisIndex) -> int:
+    # The class number of a coordinate; ValueError unless it is one of the
+    # layout's coordinates.
+    block = layout.get(index.block) if isinstance(index.block, str) else None
+    if block is None or (index.j is None) != (index.block in "ab"):
+        raise ValueError("%r is not a coordinate of this layout" % (index,))
+    w = layout["b"].classes
+    i = _integer("i", index.i, 1, {"a": block.mult, "c": w - 1}.get(index.block, w))
     if index.block == "a":
-        return 0
-    if index.block == "b":
-        return index.i
+        return block.start
     if index.block == "c":
-        # 1 + w + the lexicographic rank of (i, j) among the pairs
-        i, j = index.i, index.j
-        return 1 + w + (i - 1) * w - i * (i - 1) // 2 + (j - i - 1)
-    return 1 + w + w * (w - 1) // 2 + index.i - 1
+        # the lexicographic rank of (i, j) among the pairs
+        j = _integer("j", index.j, i + 1, w)
+        return block.start + (i - 1) * w - i * (i - 1) // 2 + (j - i - 1)
+    if index.block == "d":
+        _integer("j", index.j, 1, block.mult)
+    return block.start + i - 1
 
 
-def _columns(m: int, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _columns(m: int, layout: dict[str, _Block], classes: np.ndarray):
     """R and D of the class columns numbered ``classes``, read off the
     displays of v_0 and v_i in the module docstring."""
-    w = 2 * m + 1
-    c_start, d_start = 1 + w, 1 + w + w * (w - 1) // 2
+    b, c, d_i = layout["b"], layout["c"], layout["d"]
     cols = np.arange(classes.size)
-    r = np.zeros((w + 1, classes.size), dtype=np.int64)
+    r = np.zeros((b.classes + 1, classes.size), dtype=np.int64)
     d = np.zeros_like(r)
     # a_j: 1/(m+1) on v_0, -1/(m^2(m+1)) on every v_i
-    on = classes == 0
+    on = classes < b.start
     r[0, on] = m * m
     r[1:, on] = -1
-    # b_i (class i): 1/(m+1) on v_0 and on v_i
-    on = (classes >= 1) & (classes < c_start)
+    # b_i: 1/(m+1) on v_0 and on v_i
+    on = (classes >= b.start) & (classes < c.start)
     r[0, on] = m * m
-    r[classes[on], cols[on]] = m * m
+    r[1 + classes[on] - b.start, cols[on]] = m * m
     # c_{ij}, i < j: +1/(m(m+1)) on v_j, -1/(m(m+1)) on v_i; the pairs in
     # lexicographic order, as _class_of counts them
-    on = (classes >= c_start) & (classes < d_start)
-    lo, hi = np.triu_indices(w, 1)
-    pair = classes[on] - c_start
+    on = (classes >= c.start) & (classes < d_i.start)
+    lo, hi = np.triu_indices(b.classes, 1)
+    pair = classes[on] - c.start
     r[1 + hi[pair], cols[on]] = m
     r[1 + lo[pair], cols[on]] = -m
     # d_{ij} (class d_i): (1/m) sqrt(rho) on v_i
-    on = classes >= d_start
-    d[1 + classes[on] - d_start, cols[on]] = 1
+    on = classes >= d_i.start
+    d[1 + classes[on] - d_i.start, cols[on]] = 1
     return r, d
 
 
 def build_frame(m: int) -> ExactFrame:
     """Construct the 2m+2 exact frame vectors spanning the projection."""
-    _check_m(m)
-    w = 2 * m + 1
-    # a, then b_1..b_w and the c pairs once each, then d_1..d_w
-    mult = np.ones(1 + w + w * (w - 1) // 2 + w, dtype=np.int64)
-    mult[0] = m * m
-    mult[-w:] = (m + 1) ** 2
-    r, d = _columns(m, np.arange(mult.size))
+    m, layout = _blocks(m)
+    blocks = layout.values()
+    mult = np.repeat(np.array([b.mult for b in blocks], dtype=np.int64),
+                     [b.classes for b in blocks])
+    r, d = _columns(m, layout, np.arange(mult.size))
     for a in (r, d, mult):
         a.setflags(write=False)
     return ExactFrame(m=m, R=r, D=d, mult=mult)
@@ -271,9 +282,9 @@ BLOCK_REPRESENTATIVES = {
 }
 
 
-def _row_norms_sq(m: int, classes: list[int]) -> list[Fraction]:
+def _row_norms_sq(m: int, layout: dict[str, _Block], classes: list[int]):
     # Sums of the entry squares of the class columns, built in one go.
-    r, d = _columns(m, np.array(classes))
+    r, d = _columns(m, layout, np.array(classes))
     scale = m * m * (m + 1)
     return [
         Fraction(int(rr), scale * scale) + Fraction((m - 1) * int(dd), (m + 1) * m * m)
@@ -296,18 +307,19 @@ def row_norm_sq(m: int, index: BasisIndex) -> Fraction:
     rational on the a, b and c blocks and pure multiples of sqrt(rho) on the
     d block, so the squares never carry a radical.
     """
-    return _row_norms_sq(m, [_class_of(m, index)])[0]
+    m, layout = _blocks(m)
+    return _row_norms_sq(m, layout, [_class_of(layout, index)])[0]
 
 
 def delta_p_exact(m: int) -> Fraction:
     """Exact delta_p: the largest diagonal entry of p.
 
     Computed as the maximum of the four block values, summed from one built
-    column per block (BLOCK_REPRESENTATIVES).  Equals 2/(m+1)^2 for every
-    m >= 2.
+    column per block (its first class, the class of BLOCK_REPRESENTATIVES).
+    Equals 2/(m+1)^2 for every m >= 2.
     """
-    _check_m(m)
-    return max(_row_norms_sq(m, [_class_of(m, ix) for ix in BLOCK_REPRESENTATIVES.values()]))
+    m, layout = _blocks(m)
+    return max(_row_norms_sq(m, layout, [b.start for b in layout.values()]))
 
 
 @dataclass(frozen=True)
@@ -323,10 +335,12 @@ class SignProfile:
     eps_prime: tuple[int, ...]
 
     def __post_init__(self):
-        if any(e not in (-1, 1) for e in self.eps) or any(
-            e not in (-1, 1) for e in self.eps_prime
-        ):
-            raise ValueError("profile entries must be +1 or -1")
+        # Stored as tuples of Python ints, so no numpy scalar reaches psp_v0_coeffs.
+        for name in ("eps", "eps_prime"):
+            signs = tuple(_integer("profile entry", e, -1, 1) for e in getattr(self, name))
+            if not all(signs):
+                raise ValueError("profile entries must be +1 or -1")
+            object.__setattr__(self, name, signs)
 
     @property
     def alpha(self) -> int:
@@ -337,8 +351,8 @@ class SignProfile:
         return sum(1 for e in self.eps_prime if e == 1)
 
     def validate(self, m: int) -> None:
-        _check_m(m)
-        if len(self.eps) != m * m or len(self.eps_prime) != 2 * m + 1:
+        layout = _blocks(m)[1]
+        if (len(self.eps), len(self.eps_prime)) != (layout["a"].size, layout["b"].size):
             raise ValueError(
                 "profile lengths (%d, %d) do not match m=%d"
                 % (len(self.eps), len(self.eps_prime), m)
@@ -352,6 +366,7 @@ def psp_v0_coeffs(m: int, prof: SignProfile) -> tuple[Fraction, list[Fraction]]:
     c_i = (-S/m^2 + eps'_i)/(m+1)^2, S and T the signed sums over the a and
     b blocks.
     """
+    m = _integer("m", m, MIN_M)
     prof.validate(m)
     s = sum(prof.eps)
     t = sum(prof.eps_prime)
@@ -362,24 +377,13 @@ def psp_v0_coeffs(m: int, prof: SignProfile) -> tuple[Fraction, list[Fraction]]:
     return c0, coeffs
 
 
-def _norm_sq_units(m: int, alpha: int, beta: int) -> int:
-    # ||psp(v_0)||^2 in units of 1/(m^4 (m+1)^4); pure integer arithmetic so
-    # the lattice scan stays fast and exact.
-    s = 2 * alpha - m * m
-    t = 2 * beta - (2 * m + 1)
-    m2 = m * m
-    return (
-        m2 * m2 * (s + t) ** 2
-        + beta * (m2 - s) ** 2
-        + (2 * m + 1 - beta) * (m2 + s) ** 2
-    )
-
-
-def _count(name: str, x) -> int:
-    # A lattice coordinate as a Python int; numpy integers pass, 1.5 does not.
-    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
-        raise ValueError("%s must be an integer, got %r" % (name, x))
-    return int(x)
+def _norm_sq_units(m2: int, w: int, alpha: int, beta: int) -> int:
+    # ||psp(v_0)||^2 in units of 1/(m^4 (m+1)^4), from the a and b block
+    # sizes m2 = m^2 and w = 2m+1; pure integer arithmetic so the lattice
+    # scan stays fast and exact.
+    s = 2 * alpha - m2
+    t = 2 * beta - w
+    return m2 * m2 * (s + t) ** 2 + beta * (m2 - s) ** 2 + (w - beta) * (m2 + s) ** 2
 
 
 def psp_v0_norm_sq(m: int, alpha: int, beta: int) -> Fraction:
@@ -388,13 +392,10 @@ def psp_v0_norm_sq(m: int, alpha: int, beta: int) -> Fraction:
     The value is c_0^2 + sum_i c_i^2 where the c_i take just two values
     (eps'_i = +1 or -1); it depends on the profile only through the counts.
     """
-    _check_m(m)
-    alpha, beta = _count("alpha", alpha), _count("beta", beta)
-    if not 0 <= alpha <= m * m:
-        raise ValueError("alpha must lie in [0, m^2], got %d" % alpha)
-    if not 0 <= beta <= 2 * m + 1:
-        raise ValueError("beta must lie in [0, 2m+1], got %d" % beta)
-    return Fraction(_norm_sq_units(m, alpha, beta), m**4 * (m + 1) ** 4)
+    m, layout = _blocks(m)
+    m2, w = layout["a"].size, layout["b"].size
+    alpha, beta = _integer("alpha", alpha, 0, m2), _integer("beta", beta, 0, w)
+    return Fraction(_norm_sq_units(m2, w, alpha, beta), m**4 * (m + 1) ** 4)
 
 
 def branch_lower_bound(m: int, alpha: int) -> float:
@@ -407,11 +408,8 @@ def branch_lower_bound(m: int, alpha: int) -> float:
     Returns a float (the second branch is irrational); certificate
     comparisons never use it.
     """
-    if m < ANALYTIC_MIN_M:
-        raise ValueError("the analytic bound assumes m >= %d" % ANALYTIC_MIN_M)
-    alpha = _count("alpha", alpha)
-    if not 0 <= 2 * alpha <= m * m:
-        raise ValueError("alpha=%d outside the normalized range [0, m^2/2]" % alpha)
+    m = _integer("m", m, ANALYTIC_MIN_M)
+    alpha = _integer("alpha", alpha, 0, m * m // 2)
     delta = 2.0 / (m + 1) ** 2
     if 4 * alpha < m * m:
         return (m * m - 4 * m - 2) / 4.0 * delta
@@ -421,8 +419,7 @@ def branch_lower_bound(m: int, alpha: int) -> float:
 def branch_bound_overall(m: int) -> float:
     """The alpha-independent form of the analytic bound:
     (delta_p/4) * min(m^2 - 4m - 2, sqrt(2m+1))."""
-    if m < ANALYTIC_MIN_M:
-        raise ValueError("the analytic bound assumes m >= %d" % ANALYTIC_MIN_M)
+    m = _integer("m", m, ANALYTIC_MIN_M)
     delta = 2.0 / (m + 1) ** 2
     return delta / 4.0 * min(float(m * m - 4 * m - 2), math.sqrt(2 * m + 1))
 
@@ -468,17 +465,16 @@ class CertificateReport:
         }
 
 
-def _lattice_min(m: int) -> tuple[int, int, int]:
-    """Least (units, alpha, beta) over the lattice, from the two candidate
-    cells of each row (see the module docstring)."""
-    m2, w = m * m, 2 * m + 1
+def _lattice_min(m2: int, w: int) -> tuple[int, int, int]:
+    """Least (units, alpha, beta) over the lattice [0, m2] x [0, w], from
+    the two candidate cells of each row (see the module docstring)."""
     cells = []
     for beta in range(w + 1):
         t = 2 * beta - w
         floor = m2 * (m2 * m2 + w - t * (m2 - 1)) // (2 * (m2 * m2 + w))
         for alpha in (floor, floor + 1):
             alpha = min(max(alpha, 0), m2)
-            cells.append((_norm_sq_units(m, alpha, beta), alpha, beta))
+            cells.append((_norm_sq_units(m2, w, alpha, beta), alpha, beta))
     return min(cells)
 
 
@@ -490,8 +486,8 @@ def min_over_symmetries_v0(m: int) -> CertificateReport:
     are irrelevant.  Ties resolve to the lexicographically smallest
     (alpha, beta).
     """
-    _check_m(m)
-    units, alpha, beta = _lattice_min(m)
+    m, layout = _blocks(m)
+    units, alpha, beta = _lattice_min(layout["a"].size, layout["b"].size)
     min_norm_sq = Fraction(units, m**4 * (m + 1) ** 4)
     delta = delta_p_exact(m)
     verdict = FALSIFIES_A if min_norm_sq > 4 * delta * delta else INCONCLUSIVE
@@ -516,6 +512,7 @@ def float_frame(m: int) -> OrthonormalFrame:
     represented integers; every d entry is the float (1/m) * sqrt(rho).
     """
     f = build_frame(m)
+    m = f.m
     radical = (1.0 / m) * math.sqrt((m - 1) / (m + 1))
     columns = f.R / (m * m * (m + 1)) + f.D * radical
     return OrthonormalFrame(np.repeat(columns, f.mult, axis=1))

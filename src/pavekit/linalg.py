@@ -11,6 +11,7 @@ single sign vector.  The operator norm is
 read off the extreme eigenvalues from LAPACK's symmetric eigensolver
 (``numpy.linalg.eigvalsh``).  Matrices and frames with a non-finite entry
 are rejected at construction, so no NaN reaches an eigensolve.
+``delta_p_numeric`` is the one float delta_p, shared by paving and rearrange.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads or worker
@@ -205,6 +206,13 @@ def compress_psp(p: Projection, s: Symmetry) -> SymmetricMatrix:
     if s.n != p.n:
         raise ValueError("dimension mismatch: symmetry n=%d vs projection n=%d" % (s.n, p.n))
     return SymmetricMatrix(compressions(p, s.signs[None, :])[0])
+
+
+def delta_p_numeric(p: Projection) -> float:
+    """Largest diagonal entry of the materialized projection."""
+    if p.n == 0:
+        return 0.0
+    return float(p.diagonal().max())
 
 
 def apply_psp(p: Projection, s: Symmetry, v: Vector) -> Vector:

@@ -32,6 +32,7 @@ from .linalg import (
     SymmetricMatrix,
     Vector,
     compressions,
+    delta_p_numeric,
     operator_norm,
     random_projection,
 )
@@ -59,13 +60,6 @@ class BruteForceCapError(ValueError):
         super().__init__("n=%d exceeds the brute-force cap of %d" % (n, cap))
         self.n = n
         self.cap = cap
-
-
-def delta_p_numeric(p: Projection) -> float:
-    """Largest diagonal entry of the materialized projection."""
-    if p.n == 0:
-        return 0.0
-    return float(p.diagonal().max())
 
 
 def _min_over_signs(n: int, max_n: int, norms_of, chunk: int) -> tuple[float, Symmetry]:

@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .linalg import Projection, Symmetry, Vector, apply_psp
+from .linalg import Projection, Symmetry, Vector, apply_psp, delta_p_numeric
 
 PREFIX_TOL = 1e-10      # slack for "nonpositive" inner products, times scale
 PREFIX_CUT_TOL = 1e-12  # slack in the |1/2 - prefix| <= delta/2 cut
@@ -246,8 +246,7 @@ def single_vector_symmetry(p: Projection, v: Vector) -> SingleVectorResult:
     unit = pv / nrm
 
     n = p.n
-    diag = p.diagonal()
-    delta = float(diag.max())
+    delta = delta_p_numeric(p)
     alpha_sq = unit**2
 
     f = p.frame.rows

@@ -64,6 +64,16 @@ def test_construct_usage_error_on_small_m(capsys):
     assert "m must be" in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["certify", "--m", "1..3"], ["certify", "--m", "2.5"], ["certify", "--m", "True"],
+    ["construct", "--m", "2.5"],
+])
+def test_m_that_is_no_integer_of_at_least_2_exits_1(args, capsys):
+    proc = run_main(capsys, *args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+
+
 def test_certify_range_with_falsification(capsys):
     proc = run_main(capsys, "certify", "--m", "6..9")
     assert proc.returncode == 0

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pavekit import counterexample
 from pavekit.counterexample import (
     FALSIFIES_A,
     INCONCLUSIVE,
@@ -166,9 +168,39 @@ def test_row_norm_values_at_m6():
     assert row_norm_sq(6, BasisIndex.d(1, 1)) == Fraction(5, 252)
     # 1/49 + 13/(1296*49), reduced
     assert row_norm_sq(6, BasisIndex.a(1)) == Fraction(1309, 63504)
-    for bad in (BasisIndex.c(3, 3), BasisIndex.a(37), BasisIndex.d(14, 1)):
+    bad = (
+        BasisIndex.c(3, 3), BasisIndex.a(37), BasisIndex.d(14, 1),
+        # not integers
+        BasisIndex.a(1.5), BasisIndex.b(1.5), BasisIndex.c(1, 2.5), BasisIndex.b(True),
+        BasisIndex.a("1"),
+        # not coordinates of the layout
+        BasisIndex.c(13, 14), BasisIndex("a", 1, 1), BasisIndex("d", 1), BasisIndex("e", 1),
+    )
+    for ix in bad:
         with pytest.raises(ValueError):
-            row_norm_sq(6, bad)
+            row_norm_sq(6, ix)
+    with pytest.raises(ValueError):
+        row_norm_sq(1, BasisIndex.a(1))
+    # numpy integers are integers
+    assert row_norm_sq(6, BasisIndex.c(np.int64(3), np.int32(5))) == Fraction(2, 49 * 36)
+
+
+def test_row_norms_follow_the_dense_frame_at_every_coordinate():
+    # every coordinate, in canonical order, against its column of the
+    # repeated R and D; the class numbers are pinned to the same order
+    for m in range(2, 6):
+        f = build_frame(m)
+        r, d = np.repeat(f.R, f.mult, axis=1), np.repeat(f.D, f.mult, axis=1)
+        classes = np.repeat(np.arange(f.mult.size), f.mult)
+        _, layout = counterexample._blocks(m)
+        rho = Fraction(m - 1, m + 1)
+        for x, ix in enumerate(coordinates(m)):
+            rational = [Fraction(int(v), m * m * (m + 1)) for v in r[:, x]]
+            radical = [Fraction(int(v), m) for v in d[:, x]]
+            assert sum(a * b for a, b in zip(rational, radical)) == 0
+            want = sum(a * a for a in rational) + rho * sum(b * b for b in radical)
+            assert row_norm_sq(m, ix) == want, (m, ix)
+            assert counterexample._class_of(layout, ix) == classes[x], (m, ix)
 
 
 def test_delta_p_values():
@@ -321,6 +353,28 @@ def test_lattice_coordinates_must_be_integers():
     assert psp_v0_norm_sq(1000, np.int64(0), np.int64(0)) == 1
 
 
+def test_m_follows_the_one_integer_rule():
+    # a numpy integer m is taken as a Python int: the report is the same,
+    # JSON included
+    want = json.dumps(min_over_symmetries_v0(8).to_json_dict())
+    assert json.dumps(min_over_symmetries_v0(np.int64(8)).to_json_dict()) == want
+    assert delta_p_exact(np.int64(8)) == delta_p_exact(8)
+    assert type(build_frame(np.int32(6)).m) is int
+    assert type(branch_lower_bound(np.int64(6), 9)) is float
+    c0, _ = psp_v0_coeffs(np.int64(2), SignProfile(eps=(1,) * 4, eps_prime=(-1,) * 5))
+    assert c0 == Fraction(-1, 9) and type(c0.denominator) is int
+    for fn in (dimension, block_sizes, build_frame, delta_p_exact, min_over_symmetries_v0,
+               lambda m: psp_v0_norm_sq(m, 0, 0), lambda m: row_norm_sq(m, BasisIndex.a(1))):
+        for bad in (True, 8.0, "8", 1, np.float64(8.0)):
+            with pytest.raises(ValueError):
+                fn(bad)
+    for bad in (True, 6.5, 5):
+        with pytest.raises(ValueError):
+            branch_lower_bound(bad, 1)
+        with pytest.raises(ValueError):
+            branch_bound_overall(bad)
+
+
 def test_certificate_at_large_m_is_fast_and_exact():
     start = time.perf_counter()
     rep = min_over_symmetries_v0(1000)
@@ -373,3 +427,11 @@ def test_profile_validation():
     prof.validate(2)
     with pytest.raises(ValueError):
         prof.validate(3)
+    # the entries follow the one integer rule and are kept as Python ints
+    for eps in ((1.0,) * 4, (True,) * 4, (1, 1, 1, 0), ("1",) * 4):
+        with pytest.raises(ValueError):
+            SignProfile(eps=eps, eps_prime=(1,) * 5)
+    prof = SignProfile(eps=tuple(np.array([1, -1, 1, 1])), eps_prime=[1] * 5)
+    assert all(type(e) is int for e in prof.eps + prof.eps_prime)
+    assert prof == SignProfile(eps=(1, -1, 1, 1), eps_prime=(1,) * 5)
+    assert psp_v0_coeffs(2, prof)[0] == Fraction(2 + 5, 9)
