@@ -532,13 +532,9 @@ def profile_symmetry(m: int, prof: SignProfile, cd_signs=None) -> Symmetry:
     prof.validate(m)
     sizes = block_sizes(m)
     tail = sizes["c"] + sizes["d"]
-    if cd_signs is None:
-        cd = np.ones(tail, dtype=np.int64)
-    else:
-        cd = np.asarray(cd_signs, dtype=np.int64)
-        if cd.shape != (tail,):
-            raise ValueError("cd_signs must have length %d" % tail)
-    signs = np.concatenate(
-        [np.asarray(prof.eps, dtype=np.int64), np.asarray(prof.eps_prime, dtype=np.int64), cd]
-    )
-    return Symmetry(signs)
+    # Symmetry checks the signs as floats: an integer cast here would pass
+    # 1.9 as +1.
+    cd = np.ones(tail) if cd_signs is None else np.asarray(cd_signs, dtype=float)
+    if cd.shape != (tail,):
+        raise ValueError("cd_signs must have length %d" % tail)
+    return Symmetry(np.concatenate([prof.eps, prof.eps_prime, cd]))

@@ -293,6 +293,12 @@ def test_closed_form_matches_dense_float_apply():
         dense = float(np.linalg.norm(apply_psp(p, s, v0)) ** 2)
         exact = float(psp_v0_norm_sq(m, prof.alpha, prof.beta))
         assert abs(dense - exact) < 1e-9
+    # c and d signs that are not exactly +-1 are refused, not truncated
+    for bad in (1.9, -1.5, 0.0):
+        with pytest.raises(ValueError):
+            profile_symmetry(m, prof, cd_signs=np.full(tail, bad))
+    with pytest.raises(ValueError):
+        profile_symmetry(m, prof, cd_signs=np.ones(tail - 1))
 
 
 def test_certificate_m6_inconclusive():
