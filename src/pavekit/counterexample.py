@@ -24,7 +24,7 @@ Every entry is rational except on the d block, where entries are rational
 multiples of sqrt(rho), rho = (m-1)/(m+1).  The frame has few distinct
 columns: every a_j carries the same column, and so does every d_{ij} of one
 i.  ``ExactFrame`` therefore stores one column per coordinate class, in the
-canonical order, which the one layout table ``_blocks(m)`` lists
+canonical order of the layout table ``_blocks(m)``
 
     a  (multiplicity m^2),
     b_1, ..., b_{2m+1},  then the c_{ij} in lexicographic order  (1 each),
