@@ -23,14 +23,15 @@ and, for 1 <= i <= 2m+1,
 Every entry is rational except on the d block, where entries are rational
 multiples of sqrt(rho), rho = (m-1)/(m+1).  The frame has few distinct
 columns: every a_j carries the same column, and so does every d_{ij} of one
-i.  ``ExactFrame`` therefore stores one column per coordinate class, in the
-canonical order of the layout table ``_blocks(m)``
+i.  The layout table ``_blocks(m)`` numbers the coordinate classes in the
+canonical order
 
     a  (multiplicity m^2),
     b_1, ..., b_{2m+1},  then the c_{ij} in lexicographic order  (1 each),
     d_1, ..., d_{2m+1}  (multiplicity (m+1)^2 each),
 
-as two integer arrays R and D, one row per vector, with
+and a class column is written as two integer arrays R and D, one row per
+vector, with
 
     <v_k, e_x> = R[k, x] / (m^2 (m+1)) + D[k, x] * sqrt(rho) / m.
 
@@ -38,8 +39,12 @@ Repeating each class column by its multiplicity gives the dense frame over
 the a|b|c|d coordinates in canonical order (the d_{ij} lexicographic).
 Read off the displays: R is m^2 on the a and b classes of v_0; on v_i, R is
 -1 on the a class, m^2 on b_i, +m on c_{ji} (j < i) and -m on c_{ij}
-(j > i), and D is 1 on d_i.  Orthonormality, the row norms and delta_p are
-decided in integer and rational arithmetic on these arrays.
+(j > i), and D is 1 on d_i.  ``ExactFrame`` keeps the 2(2m+1)+1 a, b and d
+classes as dense columns and each c_{ij} as its edge (i, j), the two rows
+that carry -m and +m, so the exact checks cost in proportion to the class
+count; only ``float_frame`` writes the c block out densely.
+Orthonormality, the row norms and delta_p are decided in integer and
+rational arithmetic.
 The largest diagonal entry of p is delta_p = 2/(m+1)^2 (the b-block value)
 for every m >= 2, as 2m+1 < m^4, 1 < m^2 and m^2-1 < 2m^2 (a, c, d blocks).
 
@@ -75,6 +80,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -166,21 +172,25 @@ class BasisIndex:
 
 @dataclass(frozen=True, eq=False)
 class ExactFrame:
-    """The 2m+2 frame vectors with exact entries, one column per coordinate
-    class (see the module docstring for the order).
+    """The 2m+2 frame vectors with exact entries, stored by coordinate class
+    (see the module docstring for the classes and their order).
 
-    Entry (k, x) of v_k on a coordinate of class x is
-    R[k, x] / (m^2 (m+1)) + D[k, x] * sqrt(rho) / m with rho = (m-1)/(m+1),
-    and ``mult[x]`` coordinates share that column, so
-    ``np.repeat(R, mult, axis=1)`` is the dense frame's R over all
-    2m^3 + 8m^2 + 7m + 2 coordinates (likewise D).  ``R``, ``D`` and ``mult``
-    are int64 arrays, read-only when they come from ``build_frame``.
+    ``R``, ``D`` and ``mult`` hold the a, b_1..b_{2m+1} and d_1..d_{2m+1}
+    classes, in that order: entry (k, x) of v_k on a coordinate of dense
+    class x is R[k, x] / (m^2 (m+1)) + D[k, x] * sqrt(rho) / m with
+    rho = (m-1)/(m+1), and ``mult[x]`` coordinates share that column.
+    ``pairs`` holds the c classes in lexicographic order as a (2, m(2m+1))
+    array of frame rows: c class t is -1/(m(m+1)) on v_i and +1/(m(m+1)) on
+    v_j, (i, j) = pairs[:, t], and 0 elsewhere; on R's scale, -m and +m.
+    All four are int64 arrays, read-only when they come from
+    ``build_frame``.
     """
 
     m: int
     R: np.ndarray
     D: np.ndarray
     mult: np.ndarray
+    pairs: np.ndarray
 
     @property
     def rank(self) -> int:
@@ -206,6 +216,18 @@ def _class_of(layout: dict[str, _Block], index: BasisIndex) -> int:
     return block.start + i - 1
 
 
+def _pairs(w: int, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), 0 <= i < j < w, of the lexicographic ranks
+    ``ranks``: the inverse of the count ``_class_of`` makes."""
+    # The pairs of first index i start at rank i*w - i(i+1)/2, the count
+    # _class_of makes; a rank's first index is that of the last start at or
+    # below it.  Integers throughout, so exact at any w.
+    i = np.arange(w - 1)
+    starts = i * w - i * (i + 1) // 2
+    lo = np.searchsorted(starts, ranks, side="right") - 1
+    return lo, ranks - starts[lo] + lo + 1
+
+
 def _columns(m: int, layout: dict[str, _Block], classes: np.ndarray):
     """R and D of the class columns numbered ``classes``, read off the
     displays of v_0 and v_i in the module docstring."""
@@ -221,56 +243,68 @@ def _columns(m: int, layout: dict[str, _Block], classes: np.ndarray):
     on = (classes >= b.start) & (classes < c.start)
     r[0, on] = m * m
     r[1 + classes[on] - b.start, cols[on]] = m * m
-    # c_{ij}, i < j: +1/(m(m+1)) on v_j, -1/(m(m+1)) on v_i; the pairs in
-    # lexicographic order, as _class_of counts them
+    # c_{ij}, i < j: +1/(m(m+1)) on v_j, -1/(m(m+1)) on v_i
     on = (classes >= c.start) & (classes < d_i.start)
-    lo, hi = np.triu_indices(b.classes, 1)
-    pair = classes[on] - c.start
-    r[1 + hi[pair], cols[on]] = m
-    r[1 + lo[pair], cols[on]] = -m
+    lo, hi = _pairs(b.classes, classes[on] - c.start)
+    r[1 + hi, cols[on]] = m
+    r[1 + lo, cols[on]] = -m
     # d_{ij} (class d_i): (1/m) sqrt(rho) on v_i
     on = classes >= d_i.start
     d[1 + classes[on] - d_i.start, cols[on]] = 1
     return r, d
 
 
+def _multiplicities(blocks) -> np.ndarray:
+    # Coordinates per class, class by class through the given blocks.
+    return np.repeat(np.array([b.mult for b in blocks], dtype=np.int64),
+                     [b.classes for b in blocks])
+
+
 def build_frame(m: int) -> ExactFrame:
     """Construct the 2m+2 exact frame vectors spanning the projection."""
     m, layout = _blocks(m)
-    blocks = layout.values()
-    mult = np.repeat(np.array([b.mult for b in blocks], dtype=np.int64),
-                     [b.classes for b in blocks])
-    r, d = _columns(m, layout, np.arange(mult.size))
-    for a in (r, d, mult):
+    dense = [layout[k] for k in "abd"]
+    classes = np.concatenate([np.arange(b.start, b.start + b.classes) for b in dense])
+    mult = _multiplicities(dense)
+    r, d = _columns(m, layout, classes)
+    pairs = 1 + np.stack(_pairs(layout["b"].classes, np.arange(layout["c"].classes)))
+    for a in (r, d, mult, pairs):
         a.setflags(write=False)
-    return ExactFrame(m=m, R=r, D=d, mult=mult)
+    return ExactFrame(m=m, R=r, D=d, mult=mult, pairs=pairs)
 
 
 def verify_orthonormal(f: ExactFrame) -> bool:
     """Exact check that the frame's Gram matrix is the identity.
 
-    With L = m^2 (m+1) and W = diag(mult), the Gram matrix is
+    With L = m^2 (m+1) and W = diag(mult), the dense classes give
 
-        R W R^T / L^2 + rho D W D^T / m^2 + (R W D^T + D W R^T) sqrt(rho) / (L m).
+        R W R^T / L^2 + rho D W D^T / m^2 + (R W D^T + D W R^T) sqrt(rho) / (L m),
 
-    rho is never the square of a rational for m >= 2, so it equals I exactly
-    when the radical part vanishes and, scaled by L^2, the rational part
-    R W R^T + (m-1) m^2 (m+1) D W D^T equals L^2 I.
+    and each c class, rational with entries -m on v_i and +m on v_j, adds
+    m^2 (e_j - e_i)(e_j - e_i)^T / L^2: the Laplacian of the edges ``pairs``.
+    rho is never the square of a rational for m >= 2, so the Gram matrix
+    equals I exactly when the radical part vanishes and, scaled by L^2, the
+    rational part R W R^T + m^2 Lap + (m-1) m^2 (m+1) D W D^T equals L^2 I.
     """
     # int64 cannot overflow on a built frame: a term R[k,x] mult[x] R[l,x] is
     # at most m^6 (the a class of v_0), and by Cauchy-Schwarz each weighted
     # sum is at most L^2 = m^4 (m+1)^2, the weighted square sum of v_0's R
     # row; D's rows weigh (m+1)^2, so the scaled D sum stays below L^2 too.
-    # 2 L^2 < 2^63 up to m = 1200, far past any m whose class columns fit in
-    # memory (R alone takes 260 MB at m=200).
-    m, r, d = f.m, f.R, f.D
-    rm = r * f.mult
+    # 2 L^2 < 2^63 up to m = 1289; larger m are refused.
+    m, r, d, k = f.m, f.R, f.D, f.rank
     scale = m * m * (m + 1)
+    if 2 * scale * scale >= 1 << 63:
+        raise ValueError("the int64 Gram check is exact up to m = 1289, got m=%d" % m)
+    rm = r * f.mult
     cross = rm @ d.T
     if np.any(cross + cross.T):
         return False
     gram = rm @ r.T + (m - 1) * m * m * (m + 1) * ((d * f.mult) @ d.T)
-    return bool(np.array_equal(gram, scale * scale * np.eye(f.rank, dtype=np.int64)))
+    i, j = f.pairs
+    adjacency = np.bincount(i * k + j, minlength=k * k).reshape(k, k)
+    degree = np.bincount(f.pairs.ravel(), minlength=k)
+    gram += m * m * (np.diag(degree) - adjacency - adjacency.T)
+    return bool(np.array_equal(gram, scale * scale * np.eye(k, dtype=np.int64)))
 
 
 # One coordinate per block; the diagonal of p is constant on each block.
@@ -282,14 +316,15 @@ BLOCK_REPRESENTATIVES = {
 }
 
 
-def _row_norms_sq(m: int, layout: dict[str, _Block], classes: list[int]):
-    # Sums of the entry squares of the class columns, built in one go.
+def _row_norms_sq(m: int, layout: dict[str, _Block], classes: list[int]) -> list[int]:
+    # Squared norms of the class columns as integer numerators over
+    # L^2 = (m^2 (m+1))^2, on verify_orthonormal's scale: the sum of R's
+    # squares plus (m-1) m^2 (m+1) times the sum of D's.  Summed in Python
+    # ints, as the squares leave int64 from m = 55109 on.
     r, d = _columns(m, layout, np.array(classes))
-    scale = m * m * (m + 1)
-    return [
-        Fraction(int(rr), scale * scale) + Fraction((m - 1) * int(dd), (m + 1) * m * m)
-        for rr, dd in zip((r * r).sum(axis=0), (d * d).sum(axis=0))
-    ]
+    weight = (m - 1) * m * m * (m + 1)
+    return [sum(map(operator.mul, rc, rc)) + weight * sum(map(operator.mul, dc, dc))
+            for rc, dc in zip(r.T.tolist(), d.T.tolist())]
 
 
 def row_norm_sq(m: int, index: BasisIndex) -> Fraction:
@@ -308,7 +343,8 @@ def row_norm_sq(m: int, index: BasisIndex) -> Fraction:
     d block, so the squares never carry a radical.
     """
     m, layout = _blocks(m)
-    return _row_norms_sq(m, layout, [_class_of(layout, index)])[0]
+    return Fraction(_row_norms_sq(m, layout, [_class_of(layout, index)])[0],
+                    (m * m * (m + 1)) ** 2)
 
 
 def delta_p_exact(m: int) -> Fraction:
@@ -319,7 +355,8 @@ def delta_p_exact(m: int) -> Fraction:
     Equals 2/(m+1)^2 for every m >= 2.
     """
     m, layout = _blocks(m)
-    return max(_row_norms_sq(m, layout, [b.start for b in layout.values()]))
+    return Fraction(max(_row_norms_sq(m, layout, [b.start for b in layout.values()])),
+                    (m * m * (m + 1)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -468,14 +505,16 @@ class CertificateReport:
 def _lattice_min(m2: int, w: int) -> tuple[int, int, int]:
     """Least (units, alpha, beta) over the lattice [0, m2] x [0, w], from
     the two candidate cells of each row (see the module docstring)."""
-    cells = []
+    best = None
     for beta in range(w + 1):
         t = 2 * beta - w
         floor = m2 * (m2 * m2 + w - t * (m2 - 1)) // (2 * (m2 * m2 + w))
         for alpha in (floor, floor + 1):
             alpha = min(max(alpha, 0), m2)
-            cells.append((_norm_sq_units(m2, w, alpha, beta), alpha, beta))
-    return min(cells)
+            cell = (_norm_sq_units(m2, w, alpha, beta), alpha, beta)
+            if best is None or cell < best:
+                best = cell
+    return best
 
 
 def min_over_symmetries_v0(m: int) -> CertificateReport:
@@ -511,11 +550,12 @@ def float_frame(m: int) -> OrthonormalFrame:
     A rational entry is R / L, the correctly rounded quotient of two exactly
     represented integers; every d entry is the float (1/m) * sqrt(rho).
     """
-    f = build_frame(m)
-    m = f.m
+    m, layout = _blocks(m)
+    mult = _multiplicities(layout.values())
+    r, d = _columns(m, layout, np.arange(mult.size))
     radical = (1.0 / m) * math.sqrt((m - 1) / (m + 1))
-    columns = f.R / (m * m * (m + 1)) + f.D * radical
-    return OrthonormalFrame(np.repeat(columns, f.mult, axis=1))
+    columns = r / (m * m * (m + 1)) + d * radical
+    return OrthonormalFrame(np.repeat(columns, mult, axis=1))
 
 
 def float_projection(m: int) -> Projection:

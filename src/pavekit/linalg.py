@@ -156,11 +156,18 @@ class Symmetry:
     __slots__ = ("signs",)
 
     def __init__(self, signs):
-        # Compare before any integer cast, which would truncate 1.9 to 1.
-        a = np.array(signs, dtype=float)
+        a = np.asarray(signs)
         if a.ndim != 1:
             raise ValueError("signs must be a 1-d sequence")
-        if not np.all(np.abs(a) == 1.0):
+        # Only integer and float entries: a float cast would read '1' and
+        # True as 1.  A list can mix a bool into integers without changing
+        # the array's dtype, so its entries are checked too.
+        if a.dtype.kind not in "iuf" or (
+                not isinstance(signs, np.ndarray)
+                and any(isinstance(x, (bool, np.bool_)) for x in signs)):
+            raise ValueError("signs must be integers or floats, not bool, str or object")
+        # Compare before any integer cast, which would truncate 1.9 to 1.
+        if not np.all(np.abs(a) == 1):
             raise ValueError("every sign must be exactly +1 or -1")
         a = a.astype(np.int64)
         a.setflags(write=False)

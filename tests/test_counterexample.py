@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -90,30 +91,67 @@ def displayed_entry(m, k, x):
     return 0, (Fraction(1, m) if x.i == k else 0)
 
 
+def dense_classes(f):
+    """R, D and mult over every class in canonical order: the frame's dense
+    a, b, d classes with its c edges written out as columns between b and d."""
+    m, n_c = f.m, f.pairs.shape[1]
+    c = np.zeros((f.rank, n_c), dtype=np.int64)
+    c[f.pairs[0], np.arange(n_c)] = -m
+    c[f.pairs[1], np.arange(n_c)] = m
+    split = 2 * m + 2  # the a class and the b classes come before c
+    r = np.concatenate([f.R[:, :split], c, f.R[:, split:]], axis=1)
+    d = np.concatenate([f.D[:, :split], 0 * c, f.D[:, split:]], axis=1)
+    mult = np.concatenate([f.mult[:split], np.ones(n_c, dtype=np.int64), f.mult[split:]])
+    return r, d, mult
+
+
 def test_frame_entries_match_the_displays():
-    # independent oracle: every entry of the expanded frame, undoing the
-    # documented scalings R / (m^2 (m+1)) and D / m, against the displays
+    # independent oracle: every entry of the expanded frame (dense classes
+    # plus c edges), undoing the documented scalings R / (m^2 (m+1)) and
+    # D / m, against the displays
     for m in range(2, 7):
-        f = build_frame(m)
-        r, d = np.repeat(f.R, f.mult, axis=1), np.repeat(f.D, f.mult, axis=1)
+        r, d, mult = dense_classes(build_frame(m))
+        r, d = np.repeat(r, mult, axis=1), np.repeat(d, mult, axis=1)
         coords = coordinates(m)
         assert r.shape == d.shape == (2 * m + 2, len(coords)) == (2 * m + 2, dimension(m))
         for k in range(2 * m + 2):
             for x, ix in enumerate(coords):
                 got = (Fraction(int(r[k, x]), m * m * (m + 1)), Fraction(int(d[k, x]), m))
                 assert got == displayed_entry(m, k, ix), (m, k, ix)
-    # one column per class: a, b_1..b_13, 78 c pairs, d_1..d_13 at m = 6
+    # at m = 6: the a class, b_1..b_13 and d_1..d_13 as dense columns, the
+    # 78 c pairs as edges
     f = build_frame(6)
     # the rational part of each squared row norm is 1 with rho = (m-1)/(m+1)
     m, rho = 6, Fraction(6 - 1, 6 + 1)
+    r, d, mult = dense_classes(f)
     for k in range(2 * m + 2):
-        terms = zip(f.R[k].tolist(), f.D[k].tolist(), f.mult.tolist())
+        terms = zip(r[k].tolist(), d[k].tolist(), mult.tolist())
         assert sum(c * (Fraction(r, m * m * (m + 1)) ** 2 + rho * Fraction(d, m) ** 2)
                    for r, d, c in terms) == 1
-    assert f.R.dtype == f.D.dtype == f.mult.dtype == np.int64
-    assert f.R.shape == f.D.shape == (14, 1 + 13 + 78 + 13)
-    assert f.mult.tolist() == [36] + [1] * (13 + 78) + [49] * 13
-    assert not (f.R.flags.writeable or f.D.flags.writeable or f.mult.flags.writeable)
+    assert f.R.dtype == f.D.dtype == f.mult.dtype == f.pairs.dtype == np.int64
+    assert f.R.shape == f.D.shape == (14, 1 + 13 + 13)
+    assert f.mult.tolist() == [36] + [1] * 13 + [49] * 13
+    assert f.pairs.shape == (2, 78) and f.rank == 14
+    assert f.pairs[:, :3].tolist() == [[1, 1, 1], [2, 3, 4]]
+    assert f.pairs[:, -1].tolist() == [12, 13]
+    for a in (f.R, f.D, f.mult, f.pairs):
+        assert not a.flags.writeable
+
+
+def test_closed_form_pairs_match_the_pair_table():
+    for w in range(3, 402):
+        lo, hi = counterexample._pairs(w, np.arange(w * (w - 1) // 2))
+        want_lo, want_hi = np.triu_indices(w, 1)
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi), w
+    # and against the class numbers _class_of counts, at every c coordinate
+    for m in range(2, 7):
+        _, layout = counterexample._blocks(m)
+        w, start = 2 * m + 1, layout["c"].start
+        for i in range(1, w + 1):
+            for j in range(i + 1, w + 1):
+                rank = counterexample._class_of(layout, BasisIndex.c(i, j)) - start
+                lo, hi = counterexample._pairs(w, np.array([rank]))
+                assert (lo[0] + 1, hi[0] + 1) == (i, j), (m, i, j)
 
 
 def test_float_frame_rounds_each_exact_entry():
@@ -136,13 +174,34 @@ def test_exact_orthonormality():
     assert time.perf_counter() - start < 1.0
 
 
+def test_large_frames_verify_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        assert delta_p_exact(1000) == Fraction(2, 1001**2)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        tracemalloc.reset_peak()
+        assert verify_orthonormal(build_frame(200)) is True
+        assert tracemalloc.get_traced_memory()[1] < 100 << 20
+    finally:
+        tracemalloc.stop()
+    # past m = 1289 the int64 sums could wrap: refused before any arithmetic
+    empty = np.zeros((0, 0), dtype=np.int64)
+    with pytest.raises(ValueError):
+        verify_orthonormal(ExactFrame(m=1290, R=empty, D=empty, mult=empty, pairs=empty))
+
+
 def test_perturbed_frame_fails_verification():
     m, w = 6, 13
     f = build_frame(m)
-    # one unit off in a rational part
+    fields = dict(m=m, R=f.R, D=f.D, mult=f.mult, pairs=f.pairs)
+    # one unit off in a rational part of a dense class
     r = f.R.copy()
     r[0, 0] += 1
-    assert verify_orthonormal(ExactFrame(m=m, R=r, D=f.D, mult=f.mult)) is False
+    assert verify_orthonormal(ExactFrame(**{**fields, "R": r})) is False
+    # c_{12} moved from v_2 to v_3: a c entry off by m on two rows
+    pairs = f.pairs.copy()
+    pairs[1, 0] = 3
+    assert verify_orthonormal(ExactFrame(**{**fields, "pairs": pairs})) is False
     # v_1's radical entry moved from its d_1 class onto the a class and every
     # b class, whose multiplicities also sum to (m+1)^2: the weighted
     # D diag(mult) D^T is unchanged, so only the radical part exposes it
@@ -151,11 +210,12 @@ def test_perturbed_frame_fails_verification():
     d[1, d_1] = 0
     d[1, : 1 + w] = 1
     assert np.array_equal((d * f.mult) @ d.T, (f.D * f.mult) @ f.D.T)
-    assert verify_orthonormal(ExactFrame(m=m, R=f.R, D=d, mult=f.mult)) is False
+    assert verify_orthonormal(ExactFrame(**{**fields, "D": d})) is False
 
 
 def test_row_norms_match_block_formulas():
-    for m in (6, 7, 8):
+    # at m = 60000 the entry squares (up to m^4) leave int64
+    for m in (6, 7, 8, 60000):
         want = block_formulas(m)
         assert row_norm_sq(m, BasisIndex.a(1)) == want["a"]
         assert row_norm_sq(m, BasisIndex.b(2)) == want["b"]
@@ -189,9 +249,9 @@ def test_row_norms_follow_the_dense_frame_at_every_coordinate():
     # every coordinate, in canonical order, against its column of the
     # repeated R and D; the class numbers are pinned to the same order
     for m in range(2, 6):
-        f = build_frame(m)
-        r, d = np.repeat(f.R, f.mult, axis=1), np.repeat(f.D, f.mult, axis=1)
-        classes = np.repeat(np.arange(f.mult.size), f.mult)
+        r, d, mult = dense_classes(build_frame(m))
+        r, d = np.repeat(r, mult, axis=1), np.repeat(d, mult, axis=1)
+        classes = np.repeat(np.arange(mult.size), mult)
         _, layout = counterexample._blocks(m)
         rho = Fraction(m - 1, m + 1)
         for x, ix in enumerate(coordinates(m)):
@@ -212,6 +272,7 @@ def test_delta_p_values():
     start = time.perf_counter()
     assert delta_p_exact(200) == Fraction(2, 201**2)
     assert time.perf_counter() - start < 1.0
+    assert delta_p_exact(60000) == Fraction(2, 60001**2)
 
 
 def test_b_block_strictly_dominates_for_m_at_least_2():

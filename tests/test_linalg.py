@@ -95,6 +95,14 @@ def test_symmetry_requires_integral_unit_signs():
         with pytest.raises(ValueError):
             Symmetry(bad)
     assert Symmetry([]).n == 0
+    # strings, bools and objects are refused even where a float cast reads 1
+    for bad in (["1", "-1"], [True, True], [True, -1], np.array([True, False]),
+                [1, None], np.array([1, -1], dtype=object), [1 + 0j, -1], 1, [[1, -1]]):
+        with pytest.raises(ValueError):
+            Symmetry(bad)
+    # integer and float arrays, as paving, rearrange and profile_symmetry pass them
+    for good in (np.array([1, -1], dtype=np.int32), np.array([1.0, -1.0]), (1, -1)):
+        assert Symmetry(good).signs.tolist() == [1, -1]
 
 
 def test_compress_psp_examples():
