@@ -100,7 +100,7 @@ def dense_classes(f):
     c[f.pairs[1], np.arange(n_c)] = m
     split = 2 * m + 2  # the a class and the b classes come before c
     r = np.concatenate([f.R[:, :split], c, f.R[:, split:]], axis=1)
-    d = np.concatenate([f.D[:, :split], 0 * c, f.D[:, split:]], axis=1)
+    d = np.concatenate([f.D[:, :split], np.zeros_like(c), f.D[:, split:]], axis=1)
     mult = np.concatenate([f.mult[:split], np.ones(n_c, dtype=np.int64), f.mult[split:]])
     return r, d, mult
 
@@ -138,7 +138,7 @@ def test_frame_entries_match_the_displays():
         assert not a.flags.writeable
 
 
-def test_closed_form_pairs_match_the_pair_table():
+def test_pairs_match_the_pair_table():
     for w in range(3, 402):
         lo, hi = counterexample._pairs(w, np.arange(w * (w - 1) // 2))
         want_lo, want_hi = np.triu_indices(w, 1)
