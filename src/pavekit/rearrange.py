@@ -57,17 +57,19 @@ class ZeroSumFamily:
     """A finite family of same-dimension vectors required to sum to zero.
 
     ``sum_tolerance`` defaults to 1e-9 times the total vector length mass;
-    construction fails if ||sum v_i|| exceeds it.  A non-finite entry, a
-    vector whose squared norm overflows, and a ``sum_tolerance`` that is NaN,
-    infinite or negative, raise ``ValueError``.
+    construction fails if ||sum v_i|| exceeds it.  ``[]`` is the empty
+    family and a (k, 0) array is k vectors of dimension 0; any other input
+    that is not a 2-d array, a non-finite entry, a vector whose squared norm
+    overflows, and a ``sum_tolerance`` that is NaN, infinite or negative,
+    raise ``ValueError``.
     """
 
     __slots__ = ("vectors", "sum_tolerance", "_scale")
 
     def __init__(self, vectors, sum_tolerance: float | None = None):
         a = np.array(vectors, dtype=float)
-        if a.size == 0:
-            a = a.reshape(0, 0 if a.ndim < 2 else a.shape[-1])
+        if a.ndim == 1 and a.size == 0:
+            a = a.reshape(0, 0)  # [] is the empty family
         if a.ndim != 2:
             raise ValueError("expected a sequence of equal-length vectors")
         if not np.isfinite(a).all():
@@ -161,6 +163,11 @@ def greedy_rearrange(family: ZeroSumFamily) -> list[int]:
     ties broken by smallest index.  Such a vector always exists (the
     remaining vectors sum to -w), so a positive best inner product beyond
     slack means the family did not actually sum to zero.
+
+    Each step does one full-height product into a reused buffer, one mask
+    of the used rows and one argmin.  ||w|| is taken only when the best
+    inner product exceeds the slack's floor PREFIX_TOL * scale(): the slack
+    only grows with ||w||, so below the floor no slack can reject it.
     """
     k = len(family)
     if k == 0:
@@ -170,17 +177,25 @@ def greedy_rearrange(family: ZeroSumFamily) -> list[int]:
     used = np.zeros(k, dtype=bool)
     used[0] = True
     w = v[0].copy()
+    dots = np.empty(k)
+    floor = _slack(family, 0.0)
     for _ in range(k - 1):
-        dots = v @ w
-        dots[used] = np.inf
+        # The product stays full-height: BLAS row dots over a subset of the
+        # rows can round differently, and so can a copy in another layout.
+        np.dot(v, w, out=dots)
+        # putmask, not an added inf penalty: a used row whose dot overflowed
+        # to -inf would become NaN, which argmin picks.
+        np.putmask(dots, used, np.inf)
         idx = int(dots.argmin())  # first minimum = smallest index on ties
-        tol = _slack(family, math.sqrt(float(w @ w)))
-        if float(dots[idx]) > tol:
-            raise ValueError(
-                "no remaining vector has nonpositive inner product "
-                "(best %g > slack %g); zero-sum precondition violated"
-                % (float(dots[idx]), tol)
-            )
+        best = float(dots[idx])
+        if best > floor:
+            tol = _slack(family, math.sqrt(float(w @ w)))
+            if best > tol:
+                raise ValueError(
+                    "no remaining vector has nonpositive inner product "
+                    "(best %g > slack %g); zero-sum precondition violated"
+                    % (best, tol)
+                )
         used[idx] = True
         order.append(idx)
         w += v[idx]

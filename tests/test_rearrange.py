@@ -16,6 +16,7 @@ from pavekit.linalg import (
     random_projection,
 )
 from pavekit.rearrange import (
+    PREFIX_TOL,
     ZeroSumFamily,
     check_prefix_property,
     greedy_rearrange,
@@ -33,6 +34,40 @@ def random_zero_sum_family(rng, dim, size):
     v = rng.standard_normal((size - 1, dim))
     v = np.vstack([v, -v.sum(axis=0)])
     return ZeroSumFamily(v)
+
+
+def single_vector_family(p, unit):
+    """The family single_vector_symmetry hands the greedy for the unit
+    target ``unit``: the slices' frame coordinates, one vector per row."""
+    f = p.frame.rows
+    z = f * unit[None, :] - np.outer(f @ unit, unit**2)
+    return ZeroSumFamily(
+        z.T, sum_tolerance=max(1e-9 * float(np.linalg.norm(z, axis=0).sum()), 1e-12)
+    )
+
+
+def _reference_greedy(family):
+    """The greedy as a plain loop: a fresh product, an index mask and the
+    full slack at every step.  The order greedy_rearrange must reproduce."""
+    k = len(family)
+    if k == 0:
+        return []
+    v = family.vectors
+    order = [0]
+    used = np.zeros(k, dtype=bool)
+    used[0] = True
+    w = v[0].copy()
+    for _ in range(k - 1):
+        dots = v @ w
+        dots[used] = np.inf
+        idx = int(dots.argmin())
+        tol = PREFIX_TOL * family.scale() + family.sum_tolerance * math.sqrt(float(w @ w))
+        if float(dots[idx]) > tol:
+            raise ValueError("best %g > slack %g" % (float(dots[idx]), tol))
+        used[idx] = True
+        order.append(idx)
+        w += v[idx]
+    return order
 
 
 def test_family_rejects_nonzero_sum():
@@ -80,6 +115,22 @@ def test_family_default_tolerance_is_scale_free_near_the_float_limit():
     assert 0.0 < fam.sum_tolerance < math.inf
     assert math.isfinite(fam.scale())
     assert greedy_rearrange(fam) == [0, 1]
+
+
+def test_family_keeps_k_vectors_of_dimension_zero():
+    fam = ZeroSumFamily(np.zeros((3, 0)))
+    assert (len(fam), fam.dim) == (3, 0)
+    assert greedy_rearrange(fam) == [0, 1, 2]
+    assert check_prefix_property(fam, [0, 1, 2])
+    assert partial_sum_bound_holds(fam, [2, 1, 0])
+    empty = ZeroSumFamily([])
+    assert (len(empty), empty.dim) == (0, 0)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 0), (0, 2, 2), (2,), ()])
+def test_family_refuses_inputs_that_are_not_a_list_of_vectors(shape):
+    with pytest.raises(ValueError, match="expected a sequence of equal-length vectors"):
+        ZeroSumFamily(np.zeros(shape))
 
 
 def test_prefix_property_examples():
@@ -144,6 +195,74 @@ def test_greedy_error_backstop_on_violated_precondition():
         greedy_rearrange(fam)
 
 
+def test_greedy_takes_the_full_slack_only_above_its_floor():
+    # The best inner product 1 lies between the slack's floor
+    # PREFIX_TOL * scale() = 1e-10 and the full slack 1e-10 + 2 * ||w|| =
+    # 2.0000000001, so the greedy must take ||w|| to accept it.
+    fam = ZeroSumFamily([[1.0, 0.0], [1.0, 0.0]], sum_tolerance=2.0)
+    assert greedy_rearrange(fam) == [0, 1]
+    object.__setattr__(fam, "sum_tolerance", 0.0)
+    with pytest.raises(ValueError, match=re.escape(
+        "(best 1 > slack 1e-10); zero-sum precondition violated"
+    )):
+        greedy_rearrange(fam)
+
+
+# Exactly zero-sum with no ties; at 1.62e153 its largest squared norm is
+# 1.7e308, yet after five steps a used row's inner product with w overflows
+# to -inf.  A mask that adds an inf penalty turns that row into NaN, which
+# argmin picks.
+OVERFLOW_ROWS = [[0, 0, -8], [1, 0, 7], [6, -3, -1], [-2, 5, 6],
+                 [-1, -1, -4], [1, 2, -1], [0, 0, -4], [-5, -3, 5]]
+
+
+def oracle_families():
+    for m in range(2, 7):
+        p = float_projection(m)
+        yield "v0 m=%d" % m, single_vector_family(
+            p, single_vector_symmetry(p, float_frame(m).rows[0]).unit_target
+        )
+    for seed in range(1, 11):
+        # the instance `balance --n 256 --rank 128 --seed <seed>` draws
+        p = random_projection(256, 128, seed)
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+        )
+        yield "balance seed=%d" % seed, single_vector_family(
+            p, single_vector_symmetry(p, rng.standard_normal(256)).unit_target
+        )
+    rng = np.random.Generator(np.random.PCG64(15))
+    drawn = 0
+    while drawn < 200:
+        n, r = [(64, 8), (40, 20), (128, 3)][drawn % 3]
+        p = random_projection(n, r, seed=int(rng.integers(0, 2**31)))
+        v = rng.standard_normal(n)
+        if np.linalg.norm(p.apply(v)) < 1e-6:
+            continue
+        drawn += 1
+        yield "random n=%d r=%d" % (n, r), single_vector_family(
+            p, single_vector_symmetry(p, v).unit_target
+        )
+    yield "tie", ZeroSumFamily([[2.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
+    yield "overflow", ZeroSumFamily(np.array(OVERFLOW_ROWS, dtype=float) * 1.62e153)
+
+
+def test_greedy_order_matches_the_reference_loop():
+    for name, fam in oracle_families():
+        # Overflow is expected on the last family; a NaN made from it must
+        # show as a wrong order, not only as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _reference_greedy(fam)
+            got = greedy_rearrange(fam)
+        assert got == want, name
+    # the last family does overflow where the comment above says
+    assert name == "overflow" and want == [0, 1, 7, 2, 3, 6, 4, 5]
+    v = fam.vectors
+    with np.errstate(over="ignore"):
+        used_dots = v[want[:5]] @ v[want[:5]].sum(axis=0)
+    assert np.isneginf(used_dots).sum() == 1
+
+
 def test_greedy_satisfies_both_partial_sum_properties_on_random_corpus():
     rng = np.random.Generator(np.random.PCG64(314159))
     for _ in range(60):
@@ -170,11 +289,7 @@ def test_both_checks_accept_the_greedy_order_on_single_vector_families():
         if np.linalg.norm(p.apply(v)) < 1e-6:
             continue
         res = single_vector_symmetry(p, v)
-        unit, f = res.unit_target, p.frame.rows
-        z = f * unit[None, :] - np.outer(f @ unit, unit**2)
-        family = ZeroSumFamily(
-            z.T, sum_tolerance=max(1e-9 * float(np.linalg.norm(z, axis=0).sum()), 1e-12)
-        )
+        family = single_vector_family(p, res.unit_target)
         assert greedy_rearrange(family) == res.permutation
         assert check_prefix_property(family, res.permutation)
         assert partial_sum_bound_holds(family, res.permutation)
