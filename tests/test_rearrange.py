@@ -186,21 +186,14 @@ def test_greedy_alternates_copies_of_plus_minus_v():
 
 
 def test_greedy_error_backstop_on_violated_precondition():
-    # A correctly constructed family can never trip the greedy existence
-    # check (the slack covers the declared sum tolerance), so defeat the
-    # tolerance by hand to exercise the backstop.
-    fam = ZeroSumFamily([[1.0, 0.0], [1.0, 0.0]], sum_tolerance=10.0)
-    object.__setattr__(fam, "sum_tolerance", 0.0)
-    with pytest.raises(ValueError):
-        greedy_rearrange(fam)
-
-
-def test_greedy_takes_the_full_slack_only_above_its_floor():
     # The best inner product 1 lies between the slack's floor
     # PREFIX_TOL * scale() = 1e-10 and the full slack 1e-10 + 2 * ||w|| =
     # 2.0000000001, so the greedy must take ||w|| to accept it.
     fam = ZeroSumFamily([[1.0, 0.0], [1.0, 0.0]], sum_tolerance=2.0)
     assert greedy_rearrange(fam) == [0, 1]
+    # A correctly constructed family can never trip the greedy existence
+    # check (the slack covers the declared sum tolerance), so defeat the
+    # tolerance by hand to exercise the backstop.
     object.__setattr__(fam, "sum_tolerance", 0.0)
     with pytest.raises(ValueError, match=re.escape(
         "(best 1 > slack 1e-10); zero-sum precondition violated"
@@ -209,8 +202,8 @@ def test_greedy_takes_the_full_slack_only_above_its_floor():
 
 
 # Exactly zero-sum with no ties; at 1.62e153 its largest squared norm is
-# 1.7e308, yet after five steps a used row's inner product with w overflows
-# to -inf.  A mask that adds an inf penalty turns that row into NaN, which
+# 1.7e308, yet at the fifth greedy step a used row's inner product with w
+# overflows to -inf.  A mask that adds an inf penalty turns that row into NaN, which
 # argmin picks.
 OVERFLOW_ROWS = [[0, 0, -8], [1, 0, 7], [6, -3, -1], [-2, 5, 6],
                  [-1, -1, -4], [1, 2, -1], [0, 0, -4], [-5, -3, 5]]
@@ -255,7 +248,7 @@ def test_greedy_order_matches_the_reference_loop():
             want = _reference_greedy(fam)
             got = greedy_rearrange(fam)
         assert got == want, name
-    # the last family does overflow where the comment above says
+    # the last family overflows where the comment on OVERFLOW_ROWS says
     assert name == "overflow" and want == [0, 1, 7, 2, 3, 6, 4, 5]
     v = fam.vectors
     with np.errstate(over="ignore"):
