@@ -21,6 +21,7 @@ from . import __version__
 from .counterexample import (
     BLOCK_REPRESENTATIVES,
     FALSIFIES_A,
+    _gram_scale,
     block_sizes,
     build_frame,
     delta_p_exact,
@@ -30,11 +31,12 @@ from .counterexample import (
     row_norm_sq,
     verify_orthonormal,
 )
-from .linalg import random_projection
+from .linalg import _integer, random_projection
 from .paving import (
     BruteForceCapError,
     DEFAULT_MAX_N,
     ScanConfig,
+    _check_cap,
     conjectureA_test,
     records_to_csv,
     scan,
@@ -94,6 +96,7 @@ def _rational_pair(x) -> dict:
 
 def cmd_construct(args) -> int:
     m = args.m
+    _gram_scale(m)  # refuses m > 1289 before the O(m^2) build
     _progress("[construct] building exact frame for m=%d" % m)
     frame = build_frame(m)
     ok = verify_orthonormal(frame)
@@ -117,8 +120,7 @@ def cmd_construct(args) -> int:
 
 def cmd_certify(args) -> int:
     ms = _parse_m_range(args.m)
-    if args.workers < 1:
-        raise ValueError("workers must be >= 1")
+    _integer("workers", args.workers, 1)
     results = []
     any_falsified = False
     for m in ms:
@@ -131,12 +133,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bruteforce(args) -> int:
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
     # Before the draw: the QR of a huge draw would run long or exhaust
     # memory only to be refused by brute_force_min.
-    if args.n > args.max_n:
-        raise BruteForceCapError(args.n, args.max_n)
+    _check_cap(args.n, args.max_n)
     p = random_projection(args.n, args.rank, args.seed)
     _progress("[bruteforce] walking %d symmetries" % (1 << (args.n - 1)))
     record = conjectureA_test(p, seed=args.seed, max_n=args.max_n)

@@ -71,15 +71,13 @@ exceeds (2*delta_p)^2 exactly once m >= 8: no diagonal symmetry gets within
 conjecture (Conjecture A).  Signs on the c and d blocks never matter because
 v_0 is supported on a and b alone.
 
-Integer arguments (m, alpha, beta, index fields, profile signs) follow one
-rule: any ``numbers.Integral`` but ``bool``, taken as a Python int; anything
-else, or a value out of range, raises ``ValueError``.
+Integer arguments (m, alpha, beta, index fields, profile signs) follow the
+package's one integer rule, ``linalg._integer``.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,7 +85,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import OrthonormalFrame, Projection, Symmetry
+from .linalg import OrthonormalFrame, Projection, Symmetry, _integer
 
 FALSIFIES_A = "FALSIFIES_A"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -96,17 +94,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # m >= 6; the construction itself is well-formed from m = 2 on.
 MIN_M = 2
 ANALYTIC_MIN_M = 6
-
-
-def _integer(name: str, x, lo: int, hi: int | None = None) -> int:
-    # The one integer rule (see the module docstring).
-    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
-        raise ValueError("%s must be an integer, got %r" % (name, x))
-    x = int(x)
-    if x < lo or (hi is not None and x > hi):
-        span = ">= %d" % lo if hi is None else "in [%d, %d]" % (lo, hi)
-        raise ValueError("%s must be an integer %s, got %d" % (name, span, x))
-    return x
 
 
 class _Block(NamedTuple):
@@ -273,6 +260,23 @@ def build_frame(m: int) -> ExactFrame:
     return ExactFrame(m=m, R=r, D=d, mult=mult, pairs=pairs)
 
 
+def _gram_scale(m: int) -> int:
+    """L = m^2 (m+1) for a checked m, refused where ``verify_orthonormal``'s
+    int64 Gram check could overflow.
+
+    A term R[k,x] mult[x] R[l,x] is at most m^6 (the a class of v_0), and by
+    Cauchy-Schwarz each weighted sum is at most L^2 = m^4 (m+1)^2, the
+    weighted square sum of v_0's R row; D's rows weigh (m+1)^2, so the
+    scaled D sum stays below L^2 too.  2 L^2 < 2^63 up to m = 1289; larger m
+    are refused, in O(1) memory, before a frame is built.
+    """
+    m = _integer("m", m, MIN_M)
+    scale = m * m * (m + 1)
+    if 2 * scale * scale >= 1 << 63:
+        raise ValueError("the int64 Gram check is exact up to m = 1289, got m=%d" % m)
+    return scale
+
+
 def verify_orthonormal(f: ExactFrame) -> bool:
     """Exact check that the frame's Gram matrix is the identity.
 
@@ -286,15 +290,8 @@ def verify_orthonormal(f: ExactFrame) -> bool:
     equals I exactly when the radical part vanishes and, scaled by L^2, the
     rational part R W R^T + m^2 Lap + (m-1) m^2 (m+1) D W D^T equals L^2 I.
     """
-    # int64 cannot overflow on a built frame: a term R[k,x] mult[x] R[l,x] is
-    # at most m^6 (the a class of v_0), and by Cauchy-Schwarz each weighted
-    # sum is at most L^2 = m^4 (m+1)^2, the weighted square sum of v_0's R
-    # row; D's rows weigh (m+1)^2, so the scaled D sum stays below L^2 too.
-    # 2 L^2 < 2^63 up to m = 1289; larger m are refused.
     m, r, d, k = f.m, f.R, f.D, f.rank
-    scale = m * m * (m + 1)
-    if 2 * scale * scale >= 1 << 63:
-        raise ValueError("the int64 Gram check is exact up to m = 1289, got m=%d" % m)
+    scale = _gram_scale(m)
     rm = r * f.mult
     cross = rm @ d.T
     if np.any(cross + cross.T):

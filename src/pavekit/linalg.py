@@ -21,6 +21,7 @@ processes.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -29,6 +30,18 @@ Vector = np.ndarray
 
 SYMMETRY_TOL = 1e-12        # relative asymmetry accepted at construction
 FRAME_GRAM_TOL = 1e-10      # max |<v_i, v_j> - delta_ij| accepted for a frame
+
+
+def _integer(name: str, x, lo: int, hi: int | None = None) -> int:
+    # The package's one integer rule: any numbers.Integral but bool, taken as
+    # a Python int; anything else, or a value out of range, is a ValueError.
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+        raise ValueError("%s must be an integer, got %r" % (name, x))
+    x = int(x)
+    if x < lo or (hi is not None and x > hi):
+        span = ">= %d" % lo if hi is None else "in [%d, %d]" % (lo, hi)
+        raise ValueError("%s must be an integer %s, got %d" % (name, span, x))
+    return x
 
 
 def _max_abs(x: np.ndarray):
@@ -251,8 +264,9 @@ def random_projection(n: int, r: int, seed: int) -> Projection:
     platform give a bitwise-identical frame.  A rank-deficient draw
     (probability ~0) is retried on the continuation of the same stream.
     """
-    if not 0 <= r <= n:
-        raise ValueError("need 0 <= rank <= n, got rank=%d, n=%d" % (r, n))
+    n = _integer("n", n, 0)
+    r = _integer("rank", r, 0, n)
+    seed = _integer("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     for _attempt in range(32):
         x = rng.standard_normal((r, n))

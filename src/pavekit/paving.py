@@ -31,6 +31,7 @@ from .linalg import (
     Symmetry,
     SymmetricMatrix,
     Vector,
+    _integer,
     compressions,
     delta_p_numeric,
     operator_norm,
@@ -62,6 +63,13 @@ class BruteForceCapError(ValueError):
         self.cap = cap
 
 
+def _check_cap(n: int, max_n: int) -> None:
+    """Refuse n < 1, max_n < 0 and, with ``BruteForceCapError``, n > max_n."""
+    n, max_n = _integer("n", n, 1), _integer("max_n", max_n, 0)
+    if n > max_n:
+        raise BruteForceCapError(n, max_n)
+
+
 def _min_over_signs(n: int, max_n: int, norms_of, chunk: int) -> tuple[float, Symmetry]:
     """Exhaustive minimum of ``norms_of`` over the 2^(n-1) sign vectors.
 
@@ -71,10 +79,7 @@ def _min_over_signs(n: int, max_n: int, norms_of, chunk: int) -> tuple[float, Sy
     Returns the smallest norm and, among the sign vectors whose norm is
     within TIE_TOL of it, the lexicographically smallest.
     """
-    if n < 1:
-        raise ValueError("projection must have n >= 1")
-    if n > max_n:
-        raise BruteForceCapError(n, max_n)
+    _check_cap(n, max_n)
     count = 1 << (n - 1)
     # Pattern t carries sign j+1 in bit n-2-j, set for +1: counting order
     # is lexicographic order with -1 before +1.
@@ -108,10 +113,10 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
     sign vector (first sign +1) within TIE_TOL of it.
     """
     n = p.n
-    if p.rank == 0 and 1 <= n <= max_n:
+    _check_cap(n, max_n)
+    if p.rank == 0:
         # Every symmetry compresses to norm 0; the lex-smallest representative
-        # with the leading +1 wins the tie outright.  Other n fall through to
-        # the search's checks.
+        # with the leading +1 wins the tie outright.
         signs = -np.ones(n, dtype=np.int64)
         signs[0] = 1
         return 0.0, Symmetry(signs)
@@ -218,11 +223,12 @@ def conjectureA_test(
     p: Projection, seed: int | None = None, max_n: int = DEFAULT_MAX_N
 ) -> ExperimentRecord:
     """Test one instance of Conjecture A: is min_s ||psp|| <= 2*delta_p?"""
+    seed = -1 if seed is None else _integer("seed", seed, 0)
     t0 = time.perf_counter()
     delta = delta_p_numeric(p)
     min_norm, argmin = brute_force_min(p, max_n=max_n)
     return ExperimentRecord(
-        seed=-1 if seed is None else seed,
+        seed=seed,
         n=p.n,
         rank=p.rank,
         delta_p=delta,
@@ -275,12 +281,9 @@ class ScanConfig:
     def __post_init__(self):
         if self.mode not in SCAN_MODES:
             raise ValueError("mode must be one of %s, got %r" % (SCAN_MODES, self.mode))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
+        # rank <= n is left to the draw, so each record carries that error.
+        for name, lo in (("n", 1), ("rank", 0), ("count", 0), ("seed", 0), ("max_n", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), lo))
         if (self.gamma is None) != (self.epsilon is None):
             raise ValueError("gamma and epsilon must be given together")
         if self.gamma is not None:
@@ -319,11 +322,8 @@ def scan(config: ScanConfig, workers: int = 1) -> list[ExperimentRecord]:
     are identical across runs and across worker counts (except runtime_ms).
     At most min(workers, os.cpu_count(), count) processes are started.
     """
-    if config.n > config.max_n:
-        raise BruteForceCapError(config.n, config.max_n)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    workers = min(workers, os.cpu_count() or 1, config.count)
+    _check_cap(config.n, config.max_n)
+    workers = min(_integer("workers", workers, 1), os.cpu_count() or 1, config.count)
     run = functools.partial(_scan_instance, config)
     if workers <= 1:
         return [run(i) for i in range(config.count)]

@@ -59,9 +59,9 @@ class ZeroSumFamily:
     ``sum_tolerance`` defaults to 1e-9 times the total vector length mass;
     construction fails if ||sum v_i|| exceeds it.  ``[]`` is the empty
     family and a (k, 0) array is k vectors of dimension 0; any other input
-    that is not a 2-d array, a non-finite entry, a vector whose squared norm
-    overflows, and a ``sum_tolerance`` that is NaN, infinite or negative,
-    raise ``ValueError``.
+    that is not a 2-d array, a non-finite entry, k vectors whose
+    k^2 * scale() overflows, and a ``sum_tolerance`` that is NaN, infinite
+    or negative, raise ``ValueError``.
     """
 
     __slots__ = ("vectors", "sum_tolerance", "_scale")
@@ -79,14 +79,16 @@ class ZeroSumFamily:
         # Norms are taken of a / peak and scaled back in Python floats, so no
         # finite entry overflows them, however close to the float limit.
         peak = float(np.abs(a).max(initial=0.0)) or 1.0
-        # An infinite scale() would make every slack built on it infinite.
         with np.errstate(over="ignore"):
             object.__setattr__(self, "_scale", float((a**2).sum(axis=1).max(initial=0.0)))
-            if self._scale == math.inf:
-                raise ValueError(
-                    "vectors too large: max |entry| = %g, so the max squared "
-                    "vector norm overflows" % peak
-                )
+        # Cauchy-Schwarz bounds every <v_i, w> the greedy or a check forms by
+        # k * scale() and every w.w by k^2 * scale(); a Python float product
+        # overflows to inf without a warning.
+        if len(a) * len(a) * self._scale == math.inf:
+            raise ValueError(
+                "vectors too large: max |entry| = %g, so inner products with "
+                "partial sums can overflow" % peak
+            )
         if sum_tolerance is None:
             sum_tolerance = 1e-9 * peak * float(np.linalg.norm(a / peak, axis=1).sum())
         # An infinite or NaN tolerance would switch off both this check and
@@ -183,8 +185,7 @@ def greedy_rearrange(family: ZeroSumFamily) -> list[int]:
         # The product stays full-height: BLAS row dots over a subset of the
         # rows can round differently, and so can a copy in another layout.
         np.dot(v, w, out=dots)
-        # putmask, not an added inf penalty: a used row whose dot overflowed
-        # to -inf would become NaN, which argmin picks.
+        # putmask writes the used rows in place: no index array, no temporary.
         np.putmask(dots, used, np.inf)
         idx = int(dots.argmin())  # first minimum = smallest index on ties
         best = float(dots[idx])

@@ -1,8 +1,11 @@
 import argparse
 import json
+import pathlib
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -64,6 +67,20 @@ def test_construct_usage_error_on_small_m(capsys):
     assert "m must be" in proc.stderr
 
 
+def test_construct_refuses_m_past_the_int64_bound_before_building(capsys):
+    # build_frame's R and D arrays grow as m^2: about 500 MB at m = 1600
+    tracemalloc.start()
+    try:
+        code = cli.main(["construct", "--m", "1600"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert "the int64 Gram check is exact up to m = 1289, got m=1600" in out.err
+    assert peak < 5 << 20
+
+
 @pytest.mark.parametrize("args", [
     ["certify", "--m", "1..3"], ["certify", "--m", "2.5"], ["certify", "--m", "True"],
     ["construct", "--m", "2.5"],
@@ -112,7 +129,7 @@ def test_certify_rejects_zero_workers(capsys):
     proc = run_main(capsys, "certify", "--m", "6..6", "--workers", "0")
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert "workers must be >= 1" in proc.stderr
+    assert "workers must be an integer >= 1, got 0" in proc.stderr
 
 
 def test_bruteforce_record(capsys):
@@ -207,8 +224,10 @@ def test_scan_rejects_non_finite_conjectureB_parameters(capsys):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--n", "0", "--rank", "0", "--count", "1", "--seed", "1"], "n must be >= 1"),
-    (["--n", "10", "--rank", "5", "--count", "2", "--seed", "-1"], "seed must be >= 0"),
+    (["--n", "0", "--rank", "0", "--count", "1", "--seed", "1"],
+     "n must be an integer >= 1, got 0"),
+    (["--n", "10", "--rank", "5", "--count", "2", "--seed", "-1"],
+     "seed must be an integer >= 0, got -1"),
 ])
 def test_scan_rejects_inputs_every_instance_would_fail_on(args, message, capsys):
     assert cli.main(["scan", *args]) == 1
@@ -299,3 +318,21 @@ def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
     capsys.readouterr()
     # The top-level parser and one per subcommand, all on the first call.
     assert per_call == [6, 0, 0, 0, 0]
+
+
+def test_readme_examples_run(capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(code, "README.md", "exec"), {})
+    # the certify example: its command, the fields it shows, and its exit code
+    example = readme[readme.index("$ pavekit certify"):]
+    example = example[:example.index("```")]
+    argv = example.splitlines()[0].split()[2:]
+    fields = re.findall(r'^ +"(\w+)": ("[^"]*"|\d+),?$', example, re.M)
+    shown = {k: json.loads(v) for k, v in fields}
+    assert shown == {"m": 8, "delta_p": "2/81", "min_norm_sq": "2/729", "two_delta_p": "4/81",
+                     "argmin_alpha": 32, "argmin_beta": 8, "verdict": "FALSIFIES_A"}
+    proc = run_main(capsys, *argv)
+    assert example.endswith("$ echo $?\n0\n") and proc.returncode == 0
+    (result,) = json.loads(proc.stdout)["results"]
+    assert {k: result[k] for k in shown} == shown

@@ -188,6 +188,10 @@ def test_large_frames_verify_in_bounded_memory():
     empty = np.zeros((0, 0), dtype=np.int64)
     with pytest.raises(ValueError):
         verify_orthonormal(ExactFrame(m=1290, R=empty, D=empty, mult=empty, pairs=empty))
+    # the bound alone, which construct checks before it builds: 2 L^2 < 2^63
+    assert counterexample._gram_scale(1289) == 1289**2 * 1290
+    with pytest.raises(ValueError, match="exact up to m = 1289, got m=1290"):
+        counterexample._gram_scale(1290)
 
 
 def test_perturbed_frame_fails_verification():

@@ -412,9 +412,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ScanConfig(n=4, rank=2, count=1, seed=0, gamma=0.5)
     # inputs every instance would fail on are refused before the first draw
-    with pytest.raises(ValueError, match="n must be >= 1"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got 0"):
         ScanConfig(n=0, rank=0, count=1, seed=1)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
         ScanConfig(n=10, rank=5, count=2, seed=-1)
 
 

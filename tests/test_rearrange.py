@@ -98,14 +98,23 @@ def test_family_rejects_negative_sum_tolerance():
         ZeroSumFamily([[1.0, 0.0], [-1.0, 0.0]], sum_tolerance=-1e-9)
 
 
+# Exactly zero-sum with no ties; at 1.62e153 its largest squared norm,
+# 1.7e308, is finite, but a used row's inner product with the partial sum at
+# the fifth greedy step overflows to -inf.
+OVERFLOW_ROWS = [[0, 0, -8], [1, 0, 7], [6, -3, -1], [-2, 5, 6],
+                 [-1, -1, -4], [1, 2, -1], [0, 0, -4], [-5, -3, 5]]
+
+
 @pytest.mark.parametrize("vectors, peak", [
     ([[1e308, 1e308], [-1e308, -1e308]], "1e+308"),
     ([[1e200, 0.0], [-1e200, 0.0]], "1e+200"),
+    (np.array(OVERFLOW_ROWS, dtype=float) * 1.62e153, "1.296e+154"),
 ])
 def test_family_refuses_vectors_whose_squared_norm_overflows(vectors, peak):
-    # Exactly zero-sum, but scale() would be infinite and so would every
-    # slack built on it; refused by name, with no overflow warning (the
-    # suite turns warnings into errors).
+    # Exactly zero-sum, but an inner product with a partial sum, or
+    # scale() itself and every slack built on it, could be infinite;
+    # refused by name, with no overflow warning (the suite turns warnings
+    # into errors).
     with pytest.raises(ValueError, match=re.escape("too large: max |entry| = " + peak)):
         ZeroSumFamily(vectors)
 
@@ -201,13 +210,6 @@ def test_greedy_error_backstop_on_violated_precondition():
         greedy_rearrange(fam)
 
 
-# Exactly zero-sum with no ties; at 1.62e153 its largest squared norm is
-# 1.7e308, yet at the fifth greedy step a used row's inner product with w
-# overflows to -inf.  A mask that adds an inf penalty turns that row into NaN, which
-# argmin picks.
-OVERFLOW_ROWS = [[0, 0, -8], [1, 0, 7], [6, -3, -1], [-2, 5, 6],
-                 [-1, -1, -4], [1, 2, -1], [0, 0, -4], [-5, -3, 5]]
-
 
 def oracle_families():
     for m in range(2, 7):
@@ -237,23 +239,11 @@ def oracle_families():
             p, single_vector_symmetry(p, v).unit_target
         )
     yield "tie", ZeroSumFamily([[2.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
-    yield "overflow", ZeroSumFamily(np.array(OVERFLOW_ROWS, dtype=float) * 1.62e153)
 
 
 def test_greedy_order_matches_the_reference_loop():
     for name, fam in oracle_families():
-        # Overflow is expected on the last family; a NaN made from it must
-        # show as a wrong order, not only as a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = _reference_greedy(fam)
-            got = greedy_rearrange(fam)
-        assert got == want, name
-    # the last family overflows where the comment on OVERFLOW_ROWS says
-    assert name == "overflow" and want == [0, 1, 7, 2, 3, 6, 4, 5]
-    v = fam.vectors
-    with np.errstate(over="ignore"):
-        used_dots = v[want[:5]] @ v[want[:5]].sum(axis=0)
-    assert np.isneginf(used_dots).sum() == 1
+        assert greedy_rearrange(fam) == _reference_greedy(fam), name
 
 
 def test_greedy_satisfies_both_partial_sum_properties_on_random_corpus():
