@@ -260,6 +260,7 @@ def conjectureB_probe(
     symmetry has ||psp|| < 1 - epsilon.  Vacuously true when delta_p >= gamma.
     Needs finite gamma > 0 and 0 < epsilon < 1."""
     _check_gamma_epsilon(gamma, epsilon)
+    max_n = _integer("max_n", max_n, 0)  # checked even when the probe is vacuous
     delta = delta_p_numeric(p)
     min_norm = brute_force_min(p, max_n=max_n)[0] if delta < gamma else None
     return _conjectureB(delta, min_norm, gamma, epsilon)

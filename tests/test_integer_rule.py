@@ -14,6 +14,7 @@ from pavekit.paving import (
     brute_force_min,
     brute_force_min_vector,
     conjectureA_test,
+    conjectureB_probe,
     scan,
 )
 
@@ -49,6 +50,9 @@ CASES = {
     "conjectureA_test seed": ("seed", lambda x: records_json([conjectureA_test(P, seed=x)])),
     "conjectureA_test max_n": (
         "max_n", lambda x: records_json([conjectureA_test(P, seed=1, max_n=x)])),
+    # gamma 0.01 <= delta_p: a vacuous probe, which never reaches the search
+    "conjectureB_probe max_n": (
+        "max_n", lambda x: json.dumps(conjectureB_probe(P, 0.01, 0.1, max_n=x))),
     "ScanConfig n": ("n", lambda x: scan_config(n=x)),
     "ScanConfig rank": ("rank", lambda x: scan_config(rank=x)),
     "ScanConfig count": ("count", lambda x: scan_config(count=x)),

@@ -100,7 +100,7 @@ def test_family_rejects_negative_sum_tolerance():
 
 # Exactly zero-sum with no ties; at 1.62e153 its largest squared norm,
 # 1.7e308, is finite, but a used row's inner product with the partial sum at
-# the fifth greedy step overflows to -inf.
+# the fifth greedy step would overflow to -inf.
 OVERFLOW_ROWS = [[0, 0, -8], [1, 0, 7], [6, -3, -1], [-2, 5, 6],
                  [-1, -1, -4], [1, 2, -1], [0, 0, -4], [-5, -3, 5]]
 
