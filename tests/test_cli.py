@@ -224,10 +224,12 @@ def test_scan_rejects_non_finite_conjectureB_parameters(capsys):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--n", "0", "--rank", "0", "--count", "1", "--seed", "1"],
-     "n must be an integer >= 1, got 0"),
-    (["--n", "10", "--rank", "5", "--count", "2", "--seed", "-1"],
-     "seed must be an integer >= 0, got -1"),
+    pytest.param(["--n", "0", "--rank", "0", "--count", "1", "--seed", "1"],
+                 "n must be an integer >= 1, got 0",
+                 id="args0-n must be >= 1"),
+    pytest.param(["--n", "10", "--rank", "5", "--count", "2", "--seed", "-1"],
+                 "seed must be an integer >= 0, got -1",
+                 id="args1-seed must be >= 0"),
 ])
 def test_scan_rejects_inputs_every_instance_would_fail_on(args, message, capsys):
     assert cli.main(["scan", *args]) == 1
