@@ -5,7 +5,8 @@ search over the sign vectors in lexicographic order, shared with the
 single-vector minimum, with ties going to the lex-smallest sign vector; the
 r x r compressions of a chunk of sign vectors come from one batched matmul,
 each matrix the same product ``compress_psp`` forms, so a norm does not
-depend on where the search meets it), Conjecture A /
+depend on where the search meets it; sign vectors whose norm the dimension
+count fixes at 1 are scored only when they could tie), Conjecture A /
 Conjecture B instance tests, the paving-pair quantity
 max(||qpq||, ||(1-q)p(1-q)||) against its 1/2 + delta_p threshold, and a
 deterministic seeded scan harness that emits machine-readable records.
@@ -27,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    FRAME_GRAM_TOL,
     Projection,
     Symmetry,
     SymmetricMatrix,
@@ -111,6 +113,13 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
     forms, so a sign vector's norm does not depend on where the search
     meets it.  Returns the smallest norm and the lexicographically smallest
     sign vector (first sign +1) within TIE_TOL of it.
+
+    A sign vector with more than n - r signs of one kind has ||psp|| = 1
+    exactly.  Each chunk scores its mixed sign vectors (r <= |Q| <= n - r
+    plus signs) first and the rest only if no mixed norm is below
+    1 - (r+1)*FRAME_GRAM_TOL - TIE_TOL, so a skipped one is neither the
+    minimum nor a tie and the result is what scoring all of them gives.
+    Ranks r <= n/2 gain; above n/2 no sign vector is mixed.
     """
     n = p.n
     _check_cap(n, max_n)
@@ -122,9 +131,28 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
         return 0.0, Symmetry(signs)
     r = p.rank
     chunk = min(SIGN_CHUNK, max(1, COMPRESSION_BLOCK // max(1, r * (n + r))))
+    # A sign vector with more than n - r signs of one kind has ||psp|| = 1
+    # exactly: range(p), of dimension r, meets the coordinate subspace of
+    # those signs.  On the shared vector the frame's Gram error costs at
+    # most r*FRAME_GRAM_TOL, so the computed norm stays above floor (the
+    # rounding of compressions and eigvalsh is far below one more
+    # FRAME_GRAM_TOL): below floor such a norm is neither the minimum nor a tie.
+    floor = 1.0 - (r + 1) * FRAME_GRAM_TOL - TIE_TOL
+
+    def score(rows):
+        return np.array([operator_norm(SymmetricMatrix(c)) for c in compressions(p, rows)])
 
     def norms_of(rows):
-        return np.array([operator_norm(SymmetricMatrix(c)) for c in compressions(p, rows)])
+        # Mixed rows have r <= |Q| <= n - r plus signs; the others keep
+        # their exact norm 1 unless no mixed norm is below floor.
+        mixed = np.abs(rows.sum(axis=1)) <= n - 2 * r
+        if not mixed.any():
+            return score(rows)
+        norms = np.ones(len(rows))
+        norms[mixed] = score(rows[mixed])
+        if norms[mixed].min() >= floor:
+            norms[~mixed] = score(rows[~mixed])
+        return norms
 
     return _min_over_signs(n, max_n, norms_of, chunk)
 
@@ -296,16 +324,23 @@ def _scan_instance(config: ScanConfig, i: int) -> ExperimentRecord:
     t0 = time.perf_counter()
     try:
         p = random_projection(config.n, config.rank, seed)
-        rec = conjectureA_test(p, seed=seed, max_n=config.max_n)
-        if config.gamma is not None:
-            b_holds = _conjectureB(rec.delta_p, rec.min_psp_norm, config.gamma, config.epsilon)
-            rec = replace(rec, conjectureB_holds=b_holds)
+        if config.mode == "conjectureA" or config.n <= config.max_n:
+            rec = conjectureA_test(p, seed=seed, max_n=config.max_n)
+            if config.gamma is not None:
+                b_holds = _conjectureB(rec.delta_p, rec.min_psp_norm, config.gamma, config.epsilon)
+                rec = replace(rec, conjectureB_holds=b_holds)
+        else:
+            # A balance record past the cap: no walk, so no minimum, argmin or
+            # verdicts.
+            delta = delta_p_numeric(p)
+            rec = ExperimentRecord(
+                seed=seed, n=p.n, rank=p.rank, delta_p=delta, two_delta_p=2.0 * delta)
         if config.mode == "balance":
-            diag, basis = p.diagonal(), np.eye(config.n)
+            diag = p.diagonal()
             single = tuple(
                 None
                 if diag[k] <= DEGENERATE_TOL**2
-                else single_vector_symmetry(p, basis[k]).achieved_norm
+                else single_vector_symmetry(p, np.eye(1, config.n, k)[0]).achieved_norm
                 for k in range(config.n)
             )
             rec = replace(rec, single_vector_norms=single)
@@ -318,12 +353,16 @@ def _scan_instance(config: ScanConfig, i: int) -> ExperimentRecord:
 def scan(config: ScanConfig, workers: int = 1) -> list[ExperimentRecord]:
     """Run ``count`` seeded instances and return their records in order.
 
-    The brute-force cap is enforced up front; everything else that goes
-    wrong in an instance is captured in its record's error field.  Records
-    are identical across runs and across worker counts (except runtime_ms).
+    In ``conjectureA`` mode the brute-force cap is enforced up front.  In
+    ``balance`` mode an instance walks only when n <= max_n; above it the
+    record leaves the minimum, argmin and both verdicts null and keeps
+    delta_p and the single-vector norms.  Everything else that goes wrong
+    in an instance is captured in its record's error field.  Records are
+    identical across runs and across worker counts (except runtime_ms).
     At most min(workers, os.cpu_count(), count) processes are started.
     """
-    _check_cap(config.n, config.max_n)
+    if config.mode == "conjectureA":
+        _check_cap(config.n, config.max_n)
     workers = min(_integer("workers", workers, 1), os.cpu_count() or 1, config.count)
     run = functools.partial(_scan_instance, config)
     if workers <= 1:

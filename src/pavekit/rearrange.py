@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .linalg import Projection, Symmetry, Vector, apply_psp, delta_p_numeric
+from .linalg import Projection, Symmetry, Vector, _integer, apply_psp, delta_p_numeric
 
 PREFIX_TOL = 1e-10      # slack for "nonpositive" inner products, times scale
 PREFIX_CUT_TOL = 1e-12  # slack in the |1/2 - prefix| <= delta/2 cut
@@ -122,7 +122,7 @@ class ZeroSumFamily:
 
 
 def _check_order(family: ZeroSumFamily, order) -> list[int]:
-    order = [int(i) for i in order]
+    order = [_integer("order entry", i, 0) for i in order]
     if sorted(order) != list(range(len(family))):
         raise ValueError("order is not a permutation of range(%d)" % len(family))
     return order

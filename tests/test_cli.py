@@ -158,6 +158,22 @@ def test_bruteforce_cap_checked_before_the_draw(capsys):
     assert out.out == "" and "--max-n" in out.err
 
 
+def test_scan_balance_past_the_cap_runs_without_the_walk(capsys):
+    args = ("scan", "--n", "30", "--rank", "4", "--count", "1", "--seed", "1")
+    proc = run_main(capsys, *args, "--mode", "balance", "--gamma", "0.75", "--epsilon", "0.1")
+    assert proc.returncode == 0
+    rec = json.loads(proc.stdout)["records"][0]
+    assert rec["error"] is None
+    assert len(rec["single_vector_norms"]) == 30
+    assert rec["two_delta_p"] == 2 * rec["delta_p"]
+    for key in ("min_psp_norm", "argmin_signs", "conjectureA_satisfied", "conjectureB_holds"):
+        assert rec[key] is None
+    # conjectureA mode walks every instance, so it still refuses up front
+    proc = run_main(capsys, *args)
+    assert proc.returncode == 1
+    assert proc.stdout == "" and "--max-n" in proc.stderr
+
+
 def test_balance_report_respects_bound(capsys):
     proc = run_main(capsys, "balance", "--n", "20", "--rank", "8", "--seed", "7")
     assert proc.returncode == 0

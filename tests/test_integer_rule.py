@@ -1,4 +1,4 @@
-"""Every integer argument of linalg, paving and cli follows one rule: any
+"""Every integer argument of linalg, paving, rearrange and cli follows one rule: any
 ``numbers.Integral`` but ``bool``, used as a Python int; anything else, or
 a value out of range, raises ``ValueError`` naming the argument."""
 
@@ -17,8 +17,11 @@ from pavekit.paving import (
     conjectureB_probe,
     scan,
 )
+from pavekit.rearrange import ZeroSumFamily, check_prefix_property, partial_sum_bound_holds
 
 P = random_projection(5, 2, seed=1)
+# six vectors summing to zero, so that 5 is the last entry of an order
+FAMILY = ZeroSumFamily(np.vstack([np.eye(3), -np.eye(3)]))
 
 
 def frame_json(p):
@@ -58,6 +61,10 @@ CASES = {
     "ScanConfig count": ("count", lambda x: scan_config(count=x)),
     "ScanConfig seed": ("seed", lambda x: scan_config(seed=x)),
     "ScanConfig max_n": ("max_n", lambda x: scan_config(max_n=x)),
+    "check_prefix_property order entry": ("order entry", lambda x: json.dumps(
+        check_prefix_property(FAMILY, [0, 1, 2, 3, 4, x]))),
+    "partial_sum_bound_holds order entry": ("order entry", lambda x: json.dumps(
+        partial_sum_bound_holds(FAMILY, [0, 1, 2, 3, 4, x]))),
     # count 1 runs inline whatever the worker count
     "scan workers": ("workers", lambda x: records_json(
         scan(ScanConfig(n=5, rank=2, count=1, seed=1), workers=x))),

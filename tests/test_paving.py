@@ -1,12 +1,14 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pavekit.counterexample import float_projection
 from pavekit.linalg import (
+    FRAME_GRAM_TOL,
     OrthonormalFrame,
     Projection,
     Symmetry,
@@ -141,6 +143,66 @@ def test_brute_force_min_does_not_depend_on_the_chunk_size(monkeypatch):
             mn, argmin = brute_force_min(p)
             found.add((mn, tuple(argmin.signs.tolist())))
         assert len(found) == 1
+
+
+@pytest.mark.parametrize("rank, calls", [(3, 456), (5, 126), (7, 512)])
+def test_brute_force_min_scores_only_the_symmetries_that_can_win(rank, calls, monkeypatch):
+    # n = 10: a sign vector with fewer than r signs of one kind has norm 1
+    # exactly and is skipped once a mixed one scores below 1.  Rank 3 skips
+    # the 56 with at most two signs of one kind, rank 5 all but the 126 with
+    # five of each, and rank 7 nothing (no sign vector is mixed).  Chunks of
+    # one sign vector skip nothing.
+    scored = []
+
+    def counting(m):
+        scored.append(m)
+        return operator_norm(m)
+
+    monkeypatch.setattr(paving, "operator_norm", counting)
+    for seed in (1, 2, 3):
+        for chunk, want in ((1 << 14, calls), (1, 512)):
+            monkeypatch.setattr(paving, "SIGN_CHUNK", chunk)
+            scored.clear()
+            brute_force_min(random_projection(10, rank, seed))
+            assert len(scored) == want
+
+
+def shrunk_projection(n, r, seed):
+    # random_projection's frame shrunk along u = (1, ..., 1)/sqrt(r): its Gram
+    # matrix is I - eps*u u^T, off by eps/r = 0.95*FRAME_GRAM_TOL in every
+    # entry and by eps = 0.95*r*FRAME_GRAM_TOL in norm
+    f = random_projection(n, r, seed).frame.rows
+    u = np.ones(r) / math.sqrt(r)
+    c = 1.0 - math.sqrt(1.0 - 0.95 * r * FRAME_GRAM_TOL)
+    return Projection(OrthonormalFrame(f - c * np.outer(u, u @ f)))
+
+
+@pytest.mark.parametrize("make", [random_projection, shrunk_projection])
+def test_skipped_symmetries_change_no_minimum_and_no_argmin(make, monkeypatch):
+    # independent oracle: every sign vector's norm from compress_psp, one at
+    # a time, in lexicographic order; the minimum and the first sign vector
+    # within TIE_TOL of it must come out bit for bit, whatever the chunk.
+    # Those with more than n - r signs of one kind are skipped when a mixed
+    # one wins, and by the theorem behind the skip their computed norms stay
+    # at or above 1 - (r+1)*FRAME_GRAM_TOL, even on the shrunk frames.
+    shortfall = 0.0
+    for n in range(6, 13):
+        for r in range(1, n + 1):
+            p = make(n, r, n * 13 + r)
+            signs = [np.array((1,) + t) for t in itertools.product((-1, 1), repeat=n - 1)]
+            norms = [operator_norm(compress_psp(p, Symmetry(s))) for s in signs]
+            unmixed = [x for s, x in zip(signs, norms) if abs(s.sum()) > n - 2 * r]
+            assert min(unmixed, default=1.0) >= 1.0 - (r + 1) * FRAME_GRAM_TOL
+            shortfall = max(shortfall, 1.0 - min(unmixed, default=1.0))
+            best = min(norms)
+            want = next(s for s, x in zip(signs, norms) if x <= best + TIE_TOL).tolist()
+            for chunk in (1 << 14, 4, 1):
+                monkeypatch.setattr(paving, "SIGN_CHUNK", chunk)
+                mn, argmin = brute_force_min(p)
+                assert mn == best and argmin.signs.tolist() == want
+    if make is shrunk_projection:
+        # the frame's error reaches the norms beyond one Gram entry's worth
+        assert shortfall > 2 * FRAME_GRAM_TOL
 
 
 def test_tie_rule_on_permuted_degenerate_instances():
@@ -385,6 +447,19 @@ def test_balance_scan_records_match_the_instance_tests():
         assert got == want
         assert rec.conjectureB_holds == conjectureB_probe(p, gamma=0.75, epsilon=0.3)
         assert len(rec.single_vector_norms) == 6
+
+
+def test_balance_scan_past_the_cap_keeps_the_fields_that_need_no_walk():
+    below = scan(ScanConfig(n=8, rank=3, count=3, seed=2, mode="balance", gamma=0.75,
+                            epsilon=0.1))
+    above = scan(ScanConfig(n=8, rank=3, count=3, seed=2, mode="balance", gamma=0.75,
+                            epsilon=0.1, max_n=7))
+    walked = ("min_psp_norm", "argmin_signs", "conjectureA_satisfied", "conjectureB_holds")
+    for a, b in zip(above, below):
+        assert all(getattr(a, key) is None for key in walked)
+        assert all(getattr(b, key) is not None for key in walked)
+        assert replace(a, runtime_ms=0.0) == replace(
+            b, runtime_ms=0.0, **{key: None for key in walked})
 
 
 def test_scan_gamma_epsilon_populates_conjectureB():

@@ -154,6 +154,20 @@ def test_prefix_property_examples():
         check_prefix_property(fam, [0, 0])
 
 
+@pytest.mark.parametrize("check, order", [
+    (check_prefix_property, [0.9, 1.5]),
+    (partial_sum_bound_holds, [True, False]),
+    (check_prefix_property, ["1", "0"]),
+])
+def test_orders_must_be_permutations_of_integers(check, order):
+    # each entry goes through the package's integer rule; a cast with int()
+    # read these orders as [0, 1] and [1, 0]
+    fam = ZeroSumFamily([[1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match="^order entry must be an integer, got "):
+        check(fam, order)
+    assert check(fam, np.array([1, 0], dtype=np.int64))
+
+
 def test_partial_sum_bound_examples():
     fam = ZeroSumFamily([[1.0, 0.0], [-1.0, 0.0]])
     assert partial_sum_bound_holds(fam, [0, 1])  # {1, 0} <= {1, 2}
