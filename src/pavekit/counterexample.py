@@ -185,9 +185,10 @@ class ExactFrame:
 
 
 def _class_of(layout: dict[str, _Block], index: BasisIndex) -> int:
-    # The class number of a coordinate; ValueError unless it is one of the
-    # layout's coordinates.
-    block = layout.get(index.block) if isinstance(index.block, str) else None
+    # The class number of a coordinate; ValueError unless it is a BasisIndex
+    # naming one of the layout's coordinates.
+    named = isinstance(index, BasisIndex) and isinstance(index.block, str)
+    block = layout.get(index.block) if named else None
     if block is None or (index.j is None) != (index.block in "ab"):
         raise ValueError("%r is not a coordinate of this layout" % (index,))
     w = layout["b"].classes

@@ -148,10 +148,13 @@ class Projection:
         return self.frame.rank
 
     def apply(self, v: Vector) -> Vector:
-        """p(v) = F^T (F v)."""
+        """p(v) = F^T (F v).  A v with a NaN or infinite entry raises
+        ``ValueError``."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise ValueError("dimension mismatch: vector %s vs n=%d" % (v.shape, self.n))
+        if not np.isfinite(v).all():
+            raise ValueError("v has a NaN or infinite entry")
         f = self.frame.rows
         return f.T @ (f @ v)
 

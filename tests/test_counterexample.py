@@ -249,6 +249,13 @@ def test_row_norm_values_at_m6():
     assert row_norm_sq(6, BasisIndex.c(np.int64(3), np.int32(5))) == Fraction(2, 49 * 36)
 
 
+def test_row_norm_sq_refuses_what_is_no_basis_index():
+    # a value of another type is refused like a BasisIndex off the layout
+    for ix in (5, ("a", 1), "a1", None):
+        with pytest.raises(ValueError, match="not a coordinate"):
+            row_norm_sq(3, ix)
+
+
 def test_row_norms_follow_the_dense_frame_at_every_coordinate():
     # every coordinate, in canonical order, against its column of the
     # repeated R and D; the class numbers are pinned to the same order

@@ -189,6 +189,16 @@ def test_apply_psp_examples():
         apply_psp(p, Symmetry([1, -1]), np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_apply_refuses_non_finite_vectors(bad):
+    p = random_projection(6, 3, 1)
+    for v in ([bad] * 6, [1.0, 2.0, bad, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            p.apply(v)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            apply_psp(p, Symmetry(np.ones(6)), v)
+
+
 def test_random_projection_edges_and_determinism():
     z = random_projection(4, 0, seed=9)
     assert z.rank == 0

@@ -12,7 +12,9 @@ from pavekit.linalg import (
     OrthonormalFrame,
     Projection,
     Symmetry,
+    SymmetricMatrix,
     compress_psp,
+    compressions,
     operator_norm,
     random_projection,
 )
@@ -145,13 +147,19 @@ def test_brute_force_min_does_not_depend_on_the_chunk_size(monkeypatch):
         assert len(found) == 1
 
 
-@pytest.mark.parametrize("rank, calls", [(3, 456), (5, 126), (7, 512)])
-def test_brute_force_min_scores_only_the_symmetries_that_can_win(rank, calls, monkeypatch):
-    # n = 10: a sign vector with fewer than r signs of one kind has norm 1
-    # exactly and is skipped once a mixed one scores below 1.  Rank 3 skips
-    # the 56 with at most two signs of one kind, rank 5 all but the 126 with
-    # five of each, and rank 7 nothing (no sign vector is mixed).  Chunks of
-    # one sign vector skip nothing.
+# operator_norm calls of brute_force_min(random_projection(10, rank, seed)),
+# seeds 1-3, in one chunk and in chunks of one sign vector
+SCORED = {3: ((8, 3, 8), (61, 27, 29)), 5: ((51, 53, 32), (100, 64, 49)),
+          7: ((512,) * 3, (512,) * 3)}
+
+
+@pytest.mark.parametrize("rank", [3, 5, 7])
+def test_brute_force_min_scores_only_the_symmetries_that_can_win(rank, monkeypatch):
+    # n = 10: a sign vector is scored only while its lower bound is within
+    # TIE_TOL of the best norm so far; ranks 3 and 5 skip most of the 512,
+    # rank 7 nothing (every norm is 1).  Chunks of one sign vector score
+    # more, as a chunk's rows cannot wait for a later, lower norm, but the
+    # running best still prunes across chunks.
     scored = []
 
     def counting(m):
@@ -159,9 +167,9 @@ def test_brute_force_min_scores_only_the_symmetries_that_can_win(rank, calls, mo
         return operator_norm(m)
 
     monkeypatch.setattr(paving, "operator_norm", counting)
-    for seed in (1, 2, 3):
-        for chunk, want in ((1 << 14, calls), (1, 512)):
-            monkeypatch.setattr(paving, "SIGN_CHUNK", chunk)
+    for chunk, calls in zip((1 << 14, 1), SCORED[rank]):
+        monkeypatch.setattr(paving, "SIGN_CHUNK", chunk)
+        for seed, want in zip((1, 2, 3), calls):
             scored.clear()
             brute_force_min(random_projection(10, rank, seed))
             assert len(scored) == want
@@ -203,6 +211,61 @@ def test_skipped_symmetries_change_no_minimum_and_no_argmin(make, monkeypatch):
     if make is shrunk_projection:
         # the frame's error reaches the norms beyond one Gram entry's worth
         assert shortfall > 2 * FRAME_GRAM_TOL
+
+
+@pytest.mark.parametrize("make", [random_projection, shrunk_projection])
+def test_no_computed_norm_lies_below_its_bound(make):
+    # the theorem the skip rests on, checked on the computed values: for
+    # every sign vector at n = 2..12 and every rank, the bound brute_force_min
+    # filters by is at most the norm operator_norm computes.  At rank 1 the
+    # frame axis is the whole range, so a mixed sign vector's bound is its
+    # norm less the margin.
+    for n in range(2, 13):
+        rows = np.array([(1.0,) + t for t in itertools.product((-1.0, 1.0), repeat=n - 1)])
+        for r in range(1, n + 1):
+            p = make(n, r, n * 17 + r)
+            norms = np.array([operator_norm(SymmetricMatrix(c)) for c in compressions(p, rows)])
+            bounds = paving._norm_bounds(p, rows)
+            assert (bounds <= norms).all()
+            if r == 1:
+                mixed = np.abs(rows.sum(axis=1)) <= n - 2
+                gap = bounds[mixed] + 2 * FRAME_GRAM_TOL - norms[mixed]
+                assert np.abs(gap).max() <= 4 * np.finfo(float).eps
+
+
+def integer_frames():
+    # rank-1 frames of integer weights and rank-2 frames of two orthogonal
+    # integer vectors: their norms tie exactly in many places
+    rng = np.random.Generator(np.random.PCG64(31))
+    for _ in range(30):
+        a = rng.integers(1, 4, size=int(rng.integers(3, 12)))
+        yield Projection(OrthonormalFrame((a / np.linalg.norm(a))[None, :]))
+    for _ in range(20):
+        n = int(rng.integers(4, 12))
+        a = rng.integers(1, 3, size=n) * rng.choice([-1, 1], size=n)
+        b = rng.integers(-2, 3, size=n)
+        b = (a @ a) * b - (a @ b) * a
+        if not b.any():
+            b = np.roll(a, 1) * (a @ a) - (a @ np.roll(a, 1)) * a
+        yield Projection(OrthonormalFrame(np.array([a / np.linalg.norm(a), b / np.linalg.norm(b)])))
+    # a column whose squared norm is subnormal: its quotient rounds above
+    # the true one, so only a frame axis may bound it (min 0.125 here)
+    v = np.array([1.0, 1e-161, 2.0, 1.0, 1.0, 3.0])
+    yield Projection(OrthonormalFrame((v / np.linalg.norm(v))[None, :]))
+
+
+def test_brute_force_min_matches_full_enumeration_on_integer_frames(monkeypatch):
+    # independent oracle as above, on frames with many exact ties; chunks of
+    # 4 split the ties across chunk boundaries
+    for p in integer_frames():
+        signs = [np.array((1,) + t) for t in itertools.product((-1, 1), repeat=p.n - 1)]
+        norms = [operator_norm(compress_psp(p, Symmetry(s))) for s in signs]
+        best = min(norms)
+        want = next(s for s, x in zip(signs, norms) if x <= best + TIE_TOL).tolist()
+        for chunk in (1 << 14, 4):
+            monkeypatch.setattr(paving, "SIGN_CHUNK", chunk)
+            mn, argmin = brute_force_min(p)
+            assert mn == best and argmin.signs.tolist() == want
 
 
 def test_tie_rule_on_permuted_degenerate_instances():
@@ -323,19 +386,22 @@ def test_brute_force_min_vector_memory_is_bounded():
 
 def test_brute_force_min_memory_is_bounded(monkeypatch):
     # r = n is the largest compression stack: a whole chunk of 2^14 sign
-    # vectors would take 2^14 * 18 * (18 + 18) floats, 85 MB.  The eigensolve
-    # per symmetry only makes r x r temporaries, so it is stubbed: under
-    # tracemalloc the 2^17 real ones take about 15 s.
+    # vectors would take 2^14 * 18 * (18 + 18) floats, 85 MB.  r = 2 has the
+    # largest block of lower bounds, r + n floats per sign vector.  The
+    # eigensolve per symmetry only makes r x r temporaries, so it is stubbed
+    # (every norm 1, so every sign vector is scored): under tracemalloc the
+    # 2^17 real ones take about 15 s.
     monkeypatch.setattr(paving, "SymmetricMatrix", lambda c: c)
     monkeypatch.setattr(paving, "operator_norm", lambda c: 1.0)
-    p = random_projection(18, 18, seed=4)
-    tracemalloc.start()
-    try:
-        brute_force_min(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    for rank in (18, 2):
+        p = random_projection(18, rank, seed=4)
+        tracemalloc.start()
+        try:
+            brute_force_min(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def test_conjectureA_examples():
