@@ -386,14 +386,14 @@ def test_brute_force_min_vector_memory_is_bounded():
 
 def test_brute_force_min_memory_is_bounded(monkeypatch):
     # r = n is the largest compression stack: a whole chunk of 2^14 sign
-    # vectors would take 2^14 * 18 * (18 + 18) floats, 85 MB.  r = 2 has the
-    # largest block of lower bounds, r + n floats per sign vector.  The
+    # vectors would take 2^14 * 18 * (18 + 18) floats, 85 MB.  r = 1 has the
+    # largest block of lower bounds: 2^14 sign vectors of r + n floats.  The
     # eigensolve per symmetry only makes r x r temporaries, so it is stubbed
     # (every norm 1, so every sign vector is scored): under tracemalloc the
     # 2^17 real ones take about 15 s.
     monkeypatch.setattr(paving, "SymmetricMatrix", lambda c: c)
     monkeypatch.setattr(paving, "operator_norm", lambda c: 1.0)
-    for rank in (18, 2):
+    for rank in (18, 1):
         p = random_projection(18, rank, seed=4)
         tracemalloc.start()
         try:
