@@ -5,10 +5,10 @@ search over the sign vectors in lexicographic order, shared with the
 single-vector minimum, with ties going to the lex-smallest sign vector; the
 r x r compressions of a chunk of sign vectors come from one batched matmul,
 each matrix the same product ``compress_psp`` forms, so a norm does not
-depend on where the search meets it; a sign vector is scored only when a
-Rayleigh lower bound on its norm, raised to 1 where the dimension count
-fixes the norm at 1, does not exceed the best norm so far plus TIE_TOL, so
-records are those of scoring every one), Conjecture A /
+depend on where the search meets it; ranks 0 and above n/2 are not walked,
+as the dimension count fixes every norm, and otherwise a sign vector is
+scored only when a Rayleigh lower bound on its norm can still beat the best
+norm so far, so records are those of scoring every one), Conjecture A /
 Conjecture B instance tests, the paving-pair quantity
 max(||qpq||, ||(1-q)p(1-q)||) against its 1/2 + delta_p threshold, and a
 deterministic seeded scan harness that emits machine-readable records.
@@ -143,36 +143,26 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
     meets it.  Returns the smallest norm and the lexicographically smallest
     sign vector (first sign +1) within TIE_TOL of it.
 
-    Only the sign vectors that can still win are scored.  Each one gets a
-    lower bound on its norm (``_norm_bounds``): the largest |u^T F S F^T u|
-    over the unit u along the r frame axes and the n frame columns, raised
-    to 1 when it has more than n - r signs of one kind (then ||psp|| = 1
-    exactly), less (r+1)*FRAME_GRAM_TOL.  A chunk scores its lowest bound
-    first, then the rows whose bound is at most the best norm so far plus
-    TIE_TOL, in lexicographic batches of 1, 2, 4, ..., refiltered after
-    each batch.  A skipped sign vector has a norm above the best plus
-    TIE_TOL, so it is neither the minimum nor a tie, and the result is what
-    scoring all of them gives.  Above rank n/2 every norm is 1 and every
-    sign vector is scored.  At n = 10, seeds 1-3, the walk scores 8/3/8,
-    51/53/32 and 512/512/512 of the 512 sign vectors at ranks 3, 5 and 7.
+    Ranks 0 and above n/2 are not walked: the dimension count fixes every
+    norm at 0, or at exactly 1 (range(p) meets the coordinate subspace of
+    the more than n - r signs of one kind that each sign vector has), and
+    the answer is ``+--...-``.  At 1 <= r <= n/2 only the sign vectors that
+    can still win are scored.  Each gets a lower bound on its norm
+    (``_norm_bounds``): the largest |u^T F S F^T u| over the unit u along
+    the r frame axes and the n frame columns, raised to 1 when it has more
+    than n - r signs of one kind, less (r+1)*FRAME_GRAM_TOL.  A chunk scores
+    its lowest bound first, then the rows whose bound is at most the best
+    norm so far plus TIE_TOL, in lexicographic batches of 1, 2, 4, ...,
+    refiltered after each batch.  A skipped sign vector has a norm above
+    the best plus TIE_TOL, so it is neither the minimum nor a tie, and the
+    result is what scoring all of them gives.  At n = 10, seeds 1-3, the
+    walk scores 8/3/8 and 51/53/32 of the 512 sign vectors at ranks 3 and 5.
     """
-    n = p.n
+    n, r = p.n, p.rank
     _check_cap(n, max_n)
-    if p.rank == 0:
-        # Every symmetry compresses to norm 0; the lex-smallest representative
-        # with the leading +1 wins the tie outright.
-        signs = -np.ones(n, dtype=np.int64)
-        signs[0] = 1
-        return 0.0, Symmetry(signs)
-    r = p.rank
-    chunk = min(SIGN_CHUNK, max(1, COMPRESSION_BLOCK // max(1, r * (n + r))))
-
-    def score(rows):
-        return np.array([operator_norm(SymmetricMatrix(c)) for c in compressions(p, rows)])
-
-    if 2 * r > n:
-        # Every sign vector has more than n - r signs of one kind: norm 1.
-        return _min_over_signs(n, max_n, lambda rows, best: score(rows), chunk)
+    if r == 0 or 2 * r > n:
+        return (0.0 if r == 0 else 1.0), Symmetry([1] + [-1] * (n - 1))
+    chunk = min(SIGN_CHUNK, max(1, COMPRESSION_BLOCK // (r * (n + r))))
 
     def norms_of(rows, best):
         bound = _norm_bounds(p, rows)
@@ -180,7 +170,7 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
         todo = np.flatnonzero(bound == bound.min())[:1]  # the lowest bound first
         size = 1
         while todo.size and bound[todo[0]] <= best + TIE_TOL:
-            norms[todo] = score(rows[todo])
+            norms[todo] = [operator_norm(SymmetricMatrix(c)) for c in compressions(p, rows[todo])]
             best = min(best, float(norms[todo].min()))
             bound[todo] = math.inf
             todo = np.flatnonzero(bound <= best + TIE_TOL)[:size]
@@ -298,12 +288,19 @@ def conjectureA_test(
     )
 
 
-def _check_gamma_epsilon(gamma: float, epsilon: float) -> None:
+def _check_gamma_epsilon(gamma, epsilon) -> tuple[float, float]:
+    # Any numbers.Real but bool, with finite gamma > 0 and 0 < epsilon < 1,
+    # taken as Python floats; anything else is a ValueError.
+    for name, x in (("gamma", gamma), ("epsilon", epsilon)):
+        if not isinstance(x, numbers.Real) or isinstance(x, bool):
+            raise ValueError("%s must be a real number, got %r" % (name, x))
+    gamma, epsilon = float(gamma), float(epsilon)
     # NaN fails every comparison, so it is rejected here too.
     if not (0.0 < gamma < math.inf):
         raise ValueError("gamma must be finite and > 0, got %r" % (gamma,))
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must satisfy 0 < epsilon < 1, got %r" % (epsilon,))
+    return gamma, epsilon
 
 
 def _conjectureB(delta: float, min_norm: float | None, gamma: float, epsilon: float) -> bool:
@@ -317,7 +314,7 @@ def conjectureB_probe(
     """Test one instance of Conjecture B: delta_p < gamma implies some
     symmetry has ||psp|| < 1 - epsilon.  Vacuously true when delta_p >= gamma.
     Needs finite gamma > 0 and 0 < epsilon < 1."""
-    _check_gamma_epsilon(gamma, epsilon)
+    gamma, epsilon = _check_gamma_epsilon(gamma, epsilon)
     max_n = _integer("max_n", max_n, 0)  # checked even when the probe is vacuous
     delta = delta_p_numeric(p)
     min_norm = brute_force_min(p, max_n=max_n)[0] if delta < gamma else None
@@ -346,7 +343,9 @@ class ScanConfig:
         if (self.gamma is None) != (self.epsilon is None):
             raise ValueError("gamma and epsilon must be given together")
         if self.gamma is not None:
-            _check_gamma_epsilon(self.gamma, self.epsilon)
+            gamma, epsilon = _check_gamma_epsilon(self.gamma, self.epsilon)
+            object.__setattr__(self, "gamma", gamma)
+            object.__setattr__(self, "epsilon", epsilon)
 
 
 def _scan_instance(config: ScanConfig, i: int) -> ExperimentRecord:

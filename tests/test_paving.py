@@ -68,17 +68,27 @@ def test_brute_force_first_sign_pinned_and_cap():
     p = random_projection(6, 3, seed=0)
     _, argmin = brute_force_min(p)
     assert argmin.signs[0] == 1
-    with pytest.raises(BruteForceCapError):
-        brute_force_min(p, max_n=5)
+    # the cap holds at every rank, the ones the dimension count decides too
+    for q in (p, random_projection(6, 5, seed=0), Projection(OrthonormalFrame(np.zeros((0, 6))))):
+        with pytest.raises(BruteForceCapError):
+            brute_force_min(q, max_n=5)
     with pytest.raises(ValueError):
         brute_force_min(Projection(OrthonormalFrame(np.zeros((0, 0)))))
 
 
 def test_brute_force_rank0_gives_zero_and_lex_tiebreak():
-    p = Projection(OrthonormalFrame(np.zeros((0, 4))))
-    mn, argmin = brute_force_min(p)
-    assert mn == 0.0
-    assert argmin.signs.tolist() == [1, -1, -1, -1]
+    # ranks 0 and above n/2: the dimension count fixes every norm, at 0 and
+    # exactly 1, and the lex-smallest sign vector with the leading +1 wins
+    # the tie outright, although (9, 5, 1) and (11, 10, 1) have computed
+    # norms a few ulps below 1 at other sign vectors.
+    cases = [(Projection(OrthonormalFrame(np.zeros((0, 4)))), 0.0),
+             (random_projection(9, 5, 1), 1.0),
+             (random_projection(11, 10, 1), 1.0),
+             (Projection(OrthonormalFrame(np.ones((1, 1)))), 1.0)]
+    for p, want in cases:
+        mn, argmin = brute_force_min(p)
+        assert mn == want
+        assert argmin.signs.tolist() == [1] + [-1] * (p.n - 1)
 
 
 def test_brute_force_matches_direct_enumeration():
@@ -109,35 +119,43 @@ def test_tie_rule_when_every_symmetry_ties():
     mn, argmin = brute_force_min(Projection(OrthonormalFrame(np.eye(8))))
     assert mn == 1.0 and _signs_str(argmin) == "+-------"
     # rank 7 in R^10: range(p) meets every coordinate subspace of dimension
-    # >= 4, and every symmetry has 5 or more equal signs, so every norm is 1
-    # up to roundoff
+    # >= 4, and every symmetry has 5 or more equal signs, so every norm is
+    # exactly 1
     mn, argmin = brute_force_min(random_projection(10, 7, seed=42))
-    assert abs(mn - 1.0) < 1e-14
+    assert mn == 1.0
     assert _signs_str(argmin) == "+---------"
 
 
 def test_tie_rule_is_lex_smallest_within_tie_tol(monkeypatch):
     # independent oracle: norms in lexicographic order (-1 before +1), then
-    # the first within TIE_TOL of the minimum; rank 3 is generic, rank 5 of
-    # 8 is degenerate (every norm is 1 up to roundoff).  Chunks of 4 put
-    # ties on both sides of chunk boundaries.
+    # the first within TIE_TOL of the minimum; ranks 3 and 4 of 8 are walked
+    # (at 4 = n/2 the 4-4 splits are mixed), rank 5 is degenerate: every
+    # norm is 1 up to roundoff, and the search returns exactly 1 at the
+    # lex-smallest sign vector.  Chunks of 4 put ties on both sides of chunk
+    # boundaries.
     tails = list(itertools.product((-1, 1), repeat=7))
-    for rank in (3, 5):
+    for rank in (3, 4, 5):
         p = random_projection(8, rank, seed=3)
         norms = [operator_norm(compress_psp(p, Symmetry((1,) + t))) for t in tails]
-        expected = next(t for t, x in zip(tails, norms) if x <= min(norms) + TIE_TOL)
+        if 2 * rank > 8:
+            assert all(abs(x - 1.0) <= (rank + 1) * FRAME_GRAM_TOL for x in norms)
+            want = (1.0, tails[0])
+        else:
+            best = min(norms)
+            want = (best, next(t for t, x in zip(tails, norms) if x <= best + TIE_TOL))
         for chunk in (paving.SIGN_CHUNK, 4):
             monkeypatch.setattr(paving, "SIGN_CHUNK", chunk)
             mn, argmin = brute_force_min(p)
-            assert mn == min(norms)  # each compression is built afresh: no drift
-            assert tuple(argmin.signs[1:].tolist()) == expected
+            # each compression is built afresh: no drift
+            assert (mn, tuple(argmin.signs[1:].tolist())) == want
 
 
 def test_brute_force_min_does_not_depend_on_the_chunk_size(monkeypatch):
     # a compression has the same bits wherever its sign vector sits in the
     # batched matmul, so chunks of 1, 4 and 2^14 give the same minimum and
-    # argmin; rank 8 of 8 is p = I up to roundoff, where every norm ties
-    for rank in (1, 3, 5, 8):
+    # argmin; rank 4 = n/2 is the largest the search walks, and rank 8 of 8
+    # is p = I up to roundoff, where every norm ties
+    for rank in (1, 3, 4, 5, 8):
         p = random_projection(8, rank, seed=11)
         found = set()
         for chunk in (1, 4, 1 << 14):
@@ -150,16 +168,16 @@ def test_brute_force_min_does_not_depend_on_the_chunk_size(monkeypatch):
 # operator_norm calls of brute_force_min(random_projection(10, rank, seed)),
 # seeds 1-3, in one chunk and in chunks of one sign vector
 SCORED = {3: ((8, 3, 8), (61, 27, 29)), 5: ((51, 53, 32), (100, 64, 49)),
-          7: ((512,) * 3, (512,) * 3)}
+          7: ((0,) * 3, (0,) * 3)}
 
 
 @pytest.mark.parametrize("rank", [3, 5, 7])
 def test_brute_force_min_scores_only_the_symmetries_that_can_win(rank, monkeypatch):
     # n = 10: a sign vector is scored only while its lower bound is within
     # TIE_TOL of the best norm so far; ranks 3 and 5 skip most of the 512,
-    # rank 7 nothing (every norm is 1).  Chunks of one sign vector score
-    # more, as a chunk's rows cannot wait for a later, lower norm, but the
-    # running best still prunes across chunks.
+    # rank 7 all of them (every norm is 1, and there is no walk).  Chunks of
+    # one sign vector score more, as a chunk's rows cannot wait for a later,
+    # lower norm, but the running best still prunes across chunks.
     scored = []
 
     def counting(m):
@@ -189,10 +207,13 @@ def shrunk_projection(n, r, seed):
 def test_skipped_symmetries_change_no_minimum_and_no_argmin(make, monkeypatch):
     # independent oracle: every sign vector's norm from compress_psp, one at
     # a time, in lexicographic order; the minimum and the first sign vector
-    # within TIE_TOL of it must come out bit for bit, whatever the chunk.
-    # Those with more than n - r signs of one kind are skipped when a mixed
-    # one wins, and by the theorem behind the skip their computed norms stay
-    # at or above 1 - (r+1)*FRAME_GRAM_TOL, even on the shrunk frames.
+    # within TIE_TOL of it must come out bit for bit, whatever the chunk, up
+    # to rank n/2.  Those with more than n - r signs of one kind are skipped
+    # when a mixed one wins, and by the theorem behind the skip their
+    # computed norms stay at or above 1 - (r+1)*FRAME_GRAM_TOL, even on the
+    # shrunk frames.  Above rank n/2 every sign vector is of that kind, each
+    # computed norm is within (r+1)*FRAME_GRAM_TOL of 1, and the search
+    # returns exactly 1 at the lex-smallest sign vector.
     shortfall = 0.0
     for n in range(6, 13):
         for r in range(1, n + 1):
@@ -202,8 +223,12 @@ def test_skipped_symmetries_change_no_minimum_and_no_argmin(make, monkeypatch):
             unmixed = [x for s, x in zip(signs, norms) if abs(s.sum()) > n - 2 * r]
             assert min(unmixed, default=1.0) >= 1.0 - (r + 1) * FRAME_GRAM_TOL
             shortfall = max(shortfall, 1.0 - min(unmixed, default=1.0))
-            best = min(norms)
-            want = next(s for s, x in zip(signs, norms) if x <= best + TIE_TOL).tolist()
+            if 2 * r > n:
+                assert all(abs(x - 1.0) <= (r + 1) * FRAME_GRAM_TOL for x in norms)
+                best, want = 1.0, signs[0].tolist()
+            else:
+                best = min(norms)
+                want = next(s for s, x in zip(signs, norms) if x <= best + TIE_TOL).tolist()
             for chunk in (1 << 14, 4, 1):
                 monkeypatch.setattr(paving, "SIGN_CHUNK", chunk)
                 mn, argmin = brute_force_min(p)
@@ -385,15 +410,15 @@ def test_brute_force_min_vector_memory_is_bounded():
 
 
 def test_brute_force_min_memory_is_bounded(monkeypatch):
-    # r = n is the largest compression stack: a whole chunk of 2^14 sign
-    # vectors would take 2^14 * 18 * (18 + 18) floats, 85 MB.  r = 1 has the
-    # largest block of lower bounds: 2^14 sign vectors of r + n floats.  The
-    # eigensolve per symmetry only makes r x r temporaries, so it is stubbed
-    # (every norm 1, so every sign vector is scored): under tracemalloc the
-    # 2^17 real ones take about 15 s.
+    # r = n/2 is the largest compression stack the search builds: a whole
+    # chunk of 2^14 sign vectors would take 2^14 * 9 * (18 + 9) floats,
+    # 32 MB.  r = 1 has the largest block of lower bounds: 2^14 sign vectors
+    # of r + n floats.  The eigensolve per symmetry only makes r x r
+    # temporaries, so it is stubbed (every norm 1, so every sign vector is
+    # scored): under tracemalloc the 2^17 real ones take about 15 s.
     monkeypatch.setattr(paving, "SymmetricMatrix", lambda c: c)
     monkeypatch.setattr(paving, "operator_norm", lambda c: 1.0)
-    for rank in (18, 1):
+    for rank in (9, 1):
         p = random_projection(18, rank, seed=4)
         tracemalloc.start()
         try:
@@ -557,11 +582,19 @@ def test_config_validation():
         ScanConfig(n=0, rank=0, count=1, seed=1)
     with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
         ScanConfig(n=10, rank=5, count=2, seed=-1)
+    # gamma and epsilon: any real number but bool, stored as a Python float
+    with pytest.raises(ValueError, match="gamma must be a real number, got True"):
+        ScanConfig(n=4, rank=2, count=1, seed=0, gamma=True, epsilon=0.1)
+    with pytest.raises(ValueError, match="epsilon must be a real number, got None"):
+        conjectureB_probe(rank1([1.0, 1.0]), 0.5, None)
+    cfg = ScanConfig(n=4, rank=2, count=1, seed=0, gamma=1, epsilon=np.float64(0.25))
+    assert (type(cfg.gamma), type(cfg.epsilon)) == (float, float)
 
 
 @pytest.mark.parametrize("gamma, epsilon", [
     (math.nan, math.nan), (math.nan, 0.1), (0.5, math.nan), (math.inf, 0.1),
     (0.0, 0.1), (-0.5, 0.1), (0.5, 0.0), (0.5, 1.0), (0.5, -0.1),
+    (True, 0.1), (0.5, True), ("0.5", 0.1), (0.5, None),
 ])
 def test_conjectureB_parameters_validated(gamma, epsilon):
     with pytest.raises(ValueError):
