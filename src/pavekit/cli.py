@@ -37,6 +37,7 @@ from .paving import (
     DEFAULT_MAX_N,
     ScanConfig,
     _check_cap,
+    _walked,
     conjectureA_test,
     records_to_csv,
     scan,
@@ -137,7 +138,11 @@ def cmd_bruteforce(args) -> int:
     # memory only to be refused by brute_force_min.
     _check_cap(args.n, args.max_n)
     p = random_projection(args.n, args.rank, args.seed)
-    _progress("[bruteforce] walking %d symmetries" % (1 << (args.n - 1)))
+    if _walked(args.n, args.rank):
+        _progress("[bruteforce] walking %d symmetries" % (1 << (args.n - 1)))
+    else:
+        _progress("[bruteforce] no walk: the dimension count decides rank %d of n=%d"
+                  % (args.rank, args.n))
     record = conjectureA_test(p, seed=args.seed, max_n=args.max_n)
     _emit(_envelope("bruteforce", _flags(args), {"record": record.to_json_dict()}), args.output)
     return EXIT_OK

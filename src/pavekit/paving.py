@@ -7,8 +7,10 @@ r x r compressions of a chunk of sign vectors come from one batched matmul,
 each matrix the same product ``compress_psp`` forms, so a norm does not
 depend on where the search meets it; ranks 0 and above n/2 are not walked,
 as the dimension count fixes every norm, and otherwise a sign vector is
-scored only when a Rayleigh lower bound on its norm can still beat the best
-norm so far, so records are those of scoring every one), Conjecture A /
+eigensolved only when two lower bounds on its norm, a Rayleigh quotient and
+then the sixteenth root of the largest diagonal entry of its compression's
+sixteenth power, can still beat the best norm so far, so records are those
+of scoring every one), Conjecture A /
 Conjecture B instance tests, the paving-pair quantity
 max(||qpq||, ||(1-q)p(1-q)||) against its 1/2 + delta_p threshold, and a
 deterministic seeded scan harness that emits machine-readable records.
@@ -55,7 +57,10 @@ SIGN_CHUNK = 1 << 14
 # Floats per chunk of compressions, r*(n + r) per sign vector for the
 # frame-times-signs broadcast and the r x r stack together: 4 MB, so the
 # exhaustive search shortens its chunks below SIGN_CHUNK as r grows.  The
-# lower bounds of a chunk take r + n floats per sign vector, no more.
+# squarings of the stack bound come after the broadcast is freed and hold
+# the stack and two more r x r matrices, 3r^2 floats per sign vector, no
+# more than r*(n + r) as the walk has 2r <= n.  The Rayleigh bounds of a
+# chunk take r + n floats per sign vector, no more.
 COMPRESSION_BLOCK = 1 << 19
 
 
@@ -73,6 +78,12 @@ def _check_cap(n: int, max_n: int) -> None:
     n, max_n = _integer("n", n, 1), _integer("max_n", max_n, 0)
     if n > max_n:
         raise BruteForceCapError(n, max_n)
+
+
+def _walked(n: int, r: int) -> bool:
+    """Whether ``brute_force_min`` walks rank r of n: at ranks 0 and above
+    n/2 the dimension count decides every norm."""
+    return 1 <= r and 2 * r <= n
 
 
 def _min_over_signs(n: int, max_n: int, norms_of, chunk: int) -> tuple[float, Symmetry]:
@@ -133,6 +144,37 @@ def _norm_bounds(p: Projection, rows: np.ndarray) -> np.ndarray:
     return bound - (r + 1) * FRAME_GRAM_TOL
 
 
+def _stack_bounds(c: np.ndarray) -> np.ndarray:
+    """Lower bounds on the norms ``operator_norm(SymmetricMatrix(c_k))`` of a
+    (k, r, r) stack of compressions: no computed norm lies below its bound.
+
+    H = (c + c^T)/2, with the bits ``SymmetricMatrix`` gives it, is squared
+    three times to H^8, and (H^16)_jj = ||H^8 e_j||^2 <= ||H||^16, so
+    max_j ||H^8 e_j||^(1/8) <= ||H||.  As the largest diagonal entry of
+    H^16 is at least its trace over r, the bound is never below
+    r^(-1/16)*||H||, less the margin below, unless ||H||^16/r underflows.
+
+    Rounding: a squaring of X errs by about r*(eps/2)*|X||X| at most in each
+    entry, and || |X||X| || <= r*||X||^2, so the computed bound exceeds
+    ||H|| by a factor of about 1 + r^2*eps/2 at most; the bound is
+    multiplied by 1 - (r + 64)*r*eps, which leaves 64*r*eps*||H|| for the
+    error of the eigensolve.  Underflow only lowers the bound: a largest
+    sum of squares below the smallest normal float, which rounding subnormal
+    products up could as much as double (a 4.4 % higher root), is taken as
+    0, and one that is normal makes every power of H before it exceed
+    1e-154 in norm and each subnormal product err by at most 2^-1075, a
+    relative r*eps/2 of the sum, inside the margin.
+    """
+    r = c.shape[1]
+    h = 0.5 * c
+    h = h + h.transpose(0, 2, 1)
+    for _ in range(3):
+        h = np.matmul(h, h)
+    top = np.einsum("kij,kij->kj", h, h).max(axis=1)
+    top[top < np.finfo(float).tiny] = 0.0
+    return top ** (1 / 16) * (1.0 - (r + 64) * r * float(np.finfo(float).eps))
+
+
 def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, Symmetry]:
     """Exact-by-exhaustion minimum of ||psp|| over diagonal symmetries.
 
@@ -147,34 +189,44 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
     norm at 0, or at exactly 1 (range(p) meets the coordinate subspace of
     the more than n - r signs of one kind that each sign vector has), and
     the answer is ``+--...-``.  At 1 <= r <= n/2 only the sign vectors that
-    can still win are scored.  Each gets a lower bound on its norm
-    (``_norm_bounds``): the largest |u^T F S F^T u| over the unit u along
-    the r frame axes and the n frame columns, raised to 1 when it has more
-    than n - r signs of one kind, less (r+1)*FRAME_GRAM_TOL.  A chunk scores
-    its lowest bound first, then the rows whose bound is at most the best
-    norm so far plus TIE_TOL, in lexicographic batches of 1, 2, 4, ...,
-    refiltered after each batch.  A skipped sign vector has a norm above
-    the best plus TIE_TOL, so it is neither the minimum nor a tie, and the
-    result is what scoring all of them gives.  At n = 10, seeds 1-3, the
-    walk scores 8/3/8 and 51/53/32 of the 512 sign vectors at ranks 3 and 5.
+    can still win are eigensolved, as two lower bounds on the norm filter
+    them.  The Rayleigh bound (``_norm_bounds``, one matmul per chunk) is
+    the largest |u^T F S F^T u| over the unit u along the r frame axes and
+    the n frame columns, raised to 1 when the sign vector has more than
+    n - r signs of one kind, less (r+1)*FRAME_GRAM_TOL.  The stack bound
+    (``_stack_bounds``) is read off the compressions by three squarings and
+    is within a factor r^(-1/16) of the norm.  A chunk takes two groups in
+    turn: the row with the lowest Rayleigh bound, then every row whose
+    Rayleigh bound is at most the best norm so far plus TIE_TOL.  Each group
+    forms its compressions once and eigensolves them in ascending order of
+    the larger of the two bounds, up to the first bound above the best plus
+    TIE_TOL.  A skipped sign vector has a norm above the best plus TIE_TOL,
+    so it is neither the minimum nor a tie, and the result is what scoring
+    all of them gives.  At n = 10, seeds 1-3, the walk eigensolves 8/1/3
+    and 2/2/2 of the 512 sign vectors at ranks 3 and 5.
     """
     n, r = p.n, p.rank
     _check_cap(n, max_n)
-    if r == 0 or 2 * r > n:
+    if not _walked(n, r):
         return (0.0 if r == 0 else 1.0), Symmetry([1] + [-1] * (n - 1))
     chunk = min(SIGN_CHUNK, max(1, COMPRESSION_BLOCK // (r * (n + r))))
 
     def norms_of(rows, best):
         bound = _norm_bounds(p, rows)
         norms = np.full(len(rows), math.inf)
-        todo = np.flatnonzero(bound == bound.min())[:1]  # the lowest bound first
-        size = 1
-        while todo.size and bound[todo[0]] <= best + TIE_TOL:
-            norms[todo] = [operator_norm(SymmetricMatrix(c)) for c in compressions(p, rows[todo])]
-            best = min(best, float(norms[todo].min()))
+        # Two rounds: the lowest bound alone, whose norm sets the best that
+        # filters the rest, then every row still within TIE_TOL of the best.
+        todo = np.argmin(bound)[None]
+        while todo.size:
+            stack = compressions(p, rows[todo])
+            tight = np.maximum(_stack_bounds(stack), bound[todo])
+            for i in np.argsort(tight, kind="stable"):
+                if tight[i] > best + TIE_TOL:
+                    break
+                norms[todo[i]] = x = operator_norm(SymmetricMatrix(stack[i]))
+                best = min(best, x)
             bound[todo] = math.inf
-            todo = np.flatnonzero(bound <= best + TIE_TOL)[:size]
-            size *= 2
+            todo = np.flatnonzero(bound <= best + TIE_TOL)
         return norms
 
     return _min_over_signs(n, max_n, norms_of, chunk)

@@ -142,6 +142,15 @@ def test_bruteforce_record(capsys):
     assert len(rec["argmin_signs"]) == 10
 
 
+@pytest.mark.parametrize("rank, walked", [(0, False), (4, True), (5, False)])
+def test_bruteforce_progress_names_the_walk_only_where_it_runs(capsys, rank, walked):
+    # ranks 0 and above n/2 are decided by the dimension count, with no walk
+    proc = run_main(capsys, "bruteforce", "--n", "8", "--rank", str(rank), "--seed", "1")
+    assert proc.returncode == 0
+    assert ("walking 128 symmetries" in proc.stderr) == walked
+    assert ("no walk" in proc.stderr) != walked
+
+
 def test_bruteforce_cap_refusal_names_flag(capsys):
     proc = run_main(capsys, "bruteforce", "--n", "30", "--rank", "5", "--seed", "7")
     assert proc.returncode == 1

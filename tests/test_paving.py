@@ -167,17 +167,18 @@ def test_brute_force_min_does_not_depend_on_the_chunk_size(monkeypatch):
 
 # operator_norm calls of brute_force_min(random_projection(10, rank, seed)),
 # seeds 1-3, in one chunk and in chunks of one sign vector
-SCORED = {3: ((8, 3, 8), (61, 27, 29)), 5: ((51, 53, 32), (100, 64, 49)),
+SCORED = {3: ((8, 1, 3), (33, 15, 18)), 5: ((2, 2, 2), (26, 26, 21)),
           7: ((0,) * 3, (0,) * 3)}
 
 
 @pytest.mark.parametrize("rank", [3, 5, 7])
 def test_brute_force_min_scores_only_the_symmetries_that_can_win(rank, monkeypatch):
-    # n = 10: a sign vector is scored only while its lower bound is within
-    # TIE_TOL of the best norm so far; ranks 3 and 5 skip most of the 512,
-    # rank 7 all of them (every norm is 1, and there is no walk).  Chunks of
-    # one sign vector score more, as a chunk's rows cannot wait for a later,
-    # lower norm, but the running best still prunes across chunks.
+    # n = 10: a sign vector is scored only while both its lower bounds are
+    # within TIE_TOL of the best norm so far; ranks 3 and 5 skip all but a
+    # few of the 512, rank 7 all of them (every norm is 1, and there is no
+    # walk).  Chunks of one sign vector score more, as a chunk's rows cannot
+    # wait for a later, lower norm, but the running best still prunes across
+    # chunks.
     scored = []
 
     def counting(m):
@@ -238,11 +239,23 @@ def test_skipped_symmetries_change_no_minimum_and_no_argmin(make, monkeypatch):
         assert shortfall > 2 * FRAME_GRAM_TOL
 
 
+def check_stack_bounds(p, rows, norms):
+    # the bound the walk eigensolves by: at most the computed norm, and,
+    # unless its 16th power over r underflows, never looser than r^(-1/16)
+    # times it, less the rounding margin
+    r = p.rank
+    bounds = paving._stack_bounds(compressions(p, rows))
+    assert (bounds <= norms).all()
+    slack = 1.0 - 2 * (r + 64) * r * np.finfo(float).eps
+    normal = norms**16 > 2 * r * np.finfo(float).tiny
+    assert (bounds[normal] >= slack * r ** (-1 / 16) * norms[normal]).all()
+
+
 @pytest.mark.parametrize("make", [random_projection, shrunk_projection])
 def test_no_computed_norm_lies_below_its_bound(make):
-    # the theorem the skip rests on, checked on the computed values: for
-    # every sign vector at n = 2..12 and every rank, the bound brute_force_min
-    # filters by is at most the norm operator_norm computes.  At rank 1 the
+    # the theorems the skips rest on, checked on the computed values: for
+    # every sign vector at n = 2..12 and every rank, both bounds the walk
+    # filters by are at most the norm operator_norm computes.  At rank 1 the
     # frame axis is the whole range, so a mixed sign vector's bound is its
     # norm less the margin.
     for n in range(2, 13):
@@ -256,6 +269,16 @@ def test_no_computed_norm_lies_below_its_bound(make):
                 mixed = np.abs(rows.sum(axis=1)) <= n - 2
                 gap = bounds[mixed] + 2 * FRAME_GRAM_TOL - norms[mixed]
                 assert np.abs(gap).max() <= 4 * np.finfo(float).eps
+            check_stack_bounds(p, rows, norms)
+
+
+def test_no_computed_norm_lies_below_its_stack_bound_on_integer_frames():
+    # exact ties, exact zeros, a subnormal column, and norms whose 16th
+    # powers are subnormal
+    for p in integer_frames():
+        rows = np.array([(1.0,) + t for t in itertools.product((-1.0, 1.0), repeat=p.n - 1)])
+        norms = np.array([operator_norm(SymmetricMatrix(c)) for c in compressions(p, rows)])
+        check_stack_bounds(p, rows, norms)
 
 
 def integer_frames():
@@ -277,6 +300,10 @@ def integer_frames():
     # the true one, so only a frame axis may bound it (min 0.125 here)
     v = np.array([1.0, 1e-161, 2.0, 1.0, 1.0, 3.0])
     yield Projection(OrthonormalFrame((v / np.linalg.norm(v))[None, :]))
+    # two norms t^2 near 1e-20, whose 16th powers are subnormal: rounded up,
+    # they would lift the stack bound up to 1.4 % above the norm
+    for t in (8e-11, 1.1e-10):
+        yield Projection(OrthonormalFrame(np.array([[0.5, 0.5, 0.5, 0.5, t]])))
 
 
 def test_brute_force_min_matches_full_enumeration_on_integer_frames(monkeypatch):
