@@ -58,8 +58,6 @@ from .paving import (
     brute_force_min,
     brute_force_min_vector,
     conjectureA_test,
-    conjectureB_probe,
-    paving_pair,
     scan,
 )
 
@@ -99,7 +97,5 @@ __all__ = [
     "brute_force_min",
     "brute_force_min_vector",
     "conjectureA_test",
-    "conjectureB_probe",
-    "paving_pair",
     "scan",
 ]

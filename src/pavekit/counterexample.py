@@ -570,9 +570,9 @@ def profile_symmetry(m: int, prof: SignProfile, cd_signs=None) -> Symmetry:
     prof.validate(m)
     sizes = block_sizes(m)
     tail = sizes["c"] + sizes["d"]
-    # Symmetry checks the signs as floats: an integer cast here would pass
-    # 1.9 as +1.
-    cd = np.ones(tail) if cd_signs is None else np.asarray(cd_signs, dtype=float)
+    # Symmetry's own rule decides the signs: a float cast here would pass
+    # True and '1' as +1, and an integer cast 1.9.
+    cd = np.ones(tail) if cd_signs is None else Symmetry(cd_signs).signs
     if cd.shape != (tail,):
         raise ValueError("cd_signs must have length %d" % tail)
     return Symmetry(np.concatenate([prof.eps, prof.eps_prime, cd]))

@@ -44,6 +44,14 @@ def _integer(name: str, x, lo: int, hi: int | None = None) -> int:
     return x
 
 
+def _real(name: str, x) -> float:
+    # The package's one real-number rule: any numbers.Real but bool, taken as
+    # a Python float; anything else is a ValueError.  Ranges are the caller's.
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise ValueError("%s must be a real number, got %r" % (name, x))
+    return float(x)
+
+
 def _max_abs(x: np.ndarray):
     # The ufunc reduce itself skips ndarray.max's Python-level wrapper, which
     # is a measurable share of a reduction over an r x r matrix.

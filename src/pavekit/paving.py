@@ -10,10 +10,9 @@ as the dimension count fixes every norm, and otherwise a sign vector is
 eigensolved only when two lower bounds on its norm, a Rayleigh quotient and
 then the sixteenth root of the largest diagonal entry of its compression's
 sixteenth power, can still beat the best norm so far, so records are those
-of scoring every one), Conjecture A /
-Conjecture B instance tests, the paving-pair quantity
-max(||qpq||, ||(1-q)p(1-q)||) against its 1/2 + delta_p threshold, and a
-deterministic seeded scan harness that emits machine-readable records.
+of scoring every one), the Conjecture A instance test, and a
+deterministic seeded scan harness that emits machine-readable records, with
+an optional Conjecture B verdict per record.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +36,7 @@ from .linalg import (
     SymmetricMatrix,
     Vector,
     _integer,
+    _real,
     compressions,
     delta_p_numeric,
     operator_norm,
@@ -248,21 +247,6 @@ def brute_force_min_vector(
     )
 
 
-class PavingPair(NamedTuple):
-    maxnorm: float
-    threshold: float
-
-
-def paving_pair(p: Projection, q_signs: Symmetry) -> PavingPair:
-    """max(||qpq||, ||(1-q)p(1-q)||) for the diagonal projection q given by
-    the +1 positions, together with the threshold 1/2 + delta_p."""
-    if q_signs.n != p.n:
-        raise ValueError("dimension mismatch")
-    mask = q_signs.signs > 0
-    a, b = (operator_norm(SymmetricMatrix(c)) for c in compressions(p, [mask, ~mask]))
-    return PavingPair(max(a, b), 0.5 + delta_p_numeric(p))
-
-
 @dataclass(frozen=True)
 class ExperimentRecord:
     """One paving-experiment instance, fully replayable from its seed.
@@ -340,42 +324,13 @@ def conjectureA_test(
     )
 
 
-def _check_gamma_epsilon(gamma, epsilon) -> tuple[float, float]:
-    # Any numbers.Real but bool, with finite gamma > 0 and 0 < epsilon < 1,
-    # taken as Python floats; anything else is a ValueError.
-    for name, x in (("gamma", gamma), ("epsilon", epsilon)):
-        if not isinstance(x, numbers.Real) or isinstance(x, bool):
-            raise ValueError("%s must be a real number, got %r" % (name, x))
-    gamma, epsilon = float(gamma), float(epsilon)
-    # NaN fails every comparison, so it is rejected here too.
-    if not (0.0 < gamma < math.inf):
-        raise ValueError("gamma must be finite and > 0, got %r" % (gamma,))
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must satisfy 0 < epsilon < 1, got %r" % (epsilon,))
-    return gamma, epsilon
-
-
-def _conjectureB(delta: float, min_norm: float | None, gamma: float, epsilon: float) -> bool:
-    # Reads min_norm only when delta < gamma: the brute force may be skipped.
-    return bool(delta >= gamma or min_norm < 1.0 - epsilon)
-
-
-def conjectureB_probe(
-    p: Projection, gamma: float, epsilon: float, max_n: int = DEFAULT_MAX_N
-) -> bool:
-    """Test one instance of Conjecture B: delta_p < gamma implies some
-    symmetry has ||psp|| < 1 - epsilon.  Vacuously true when delta_p >= gamma.
-    Needs finite gamma > 0 and 0 < epsilon < 1."""
-    gamma, epsilon = _check_gamma_epsilon(gamma, epsilon)
-    max_n = _integer("max_n", max_n, 0)  # checked even when the probe is vacuous
-    delta = delta_p_numeric(p)
-    min_norm = brute_force_min(p, max_n=max_n)[0] if delta < gamma else None
-    return _conjectureB(delta, min_norm, gamma, epsilon)
-
-
 @dataclass(frozen=True)
 class ScanConfig:
-    """Deterministic batch configuration; instance i uses seed + i."""
+    """Deterministic batch configuration; instance i uses seed + i.
+
+    gamma and epsilon, given together, add a Conjecture B verdict to each
+    walked record; they need finite gamma > 0 and 0 < epsilon < 1.
+    """
 
     n: int
     rank: int
@@ -395,7 +350,12 @@ class ScanConfig:
         if (self.gamma is None) != (self.epsilon is None):
             raise ValueError("gamma and epsilon must be given together")
         if self.gamma is not None:
-            gamma, epsilon = _check_gamma_epsilon(self.gamma, self.epsilon)
+            gamma, epsilon = _real("gamma", self.gamma), _real("epsilon", self.epsilon)
+            # NaN fails every comparison, so it is rejected here too.
+            if not (0.0 < gamma < math.inf):
+                raise ValueError("gamma must be finite and > 0, got %r" % (gamma,))
+            if not (0.0 < epsilon < 1.0):
+                raise ValueError("epsilon must satisfy 0 < epsilon < 1, got %r" % (epsilon,))
             object.__setattr__(self, "gamma", gamma)
             object.__setattr__(self, "epsilon", epsilon)
 
@@ -408,8 +368,10 @@ def _scan_instance(config: ScanConfig, i: int) -> ExperimentRecord:
         if config.mode == "conjectureA" or config.n <= config.max_n:
             rec = conjectureA_test(p, seed=seed, max_n=config.max_n)
             if config.gamma is not None:
-                b_holds = _conjectureB(rec.delta_p, rec.min_psp_norm, config.gamma, config.epsilon)
-                rec = replace(rec, conjectureB_holds=b_holds)
+                # Conjecture B: delta_p < gamma implies some symmetry has
+                # ||psp|| < 1 - epsilon; vacuously true when delta_p >= gamma.
+                b_holds = rec.delta_p >= config.gamma or rec.min_psp_norm < 1 - config.epsilon
+                rec = replace(rec, conjectureB_holds=bool(b_holds))
         else:
             # A balance record past the cap: no walk, so no minimum, argmin or
             # verdicts.

@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .linalg import Projection, Symmetry, Vector, _integer, apply_psp, delta_p_numeric
+from .linalg import Projection, Symmetry, Vector, _integer, _real, apply_psp, delta_p_numeric
 
 PREFIX_TOL = 1e-10      # slack for "nonpositive" inner products, times scale
 PREFIX_CUT_TOL = 1e-12  # slack in the |1/2 - prefix| <= delta/2 cut
@@ -60,8 +60,8 @@ class ZeroSumFamily:
     construction fails if ||sum v_i|| exceeds it.  ``[]`` is the empty
     family and a (k, 0) array is k vectors of dimension 0; any other input
     that is not a 2-d array, a non-finite entry, k vectors whose
-    k^2 * scale() overflows, and a ``sum_tolerance`` that is NaN, infinite
-    or negative, raise ``ValueError``.
+    k^2 * scale() overflows, and a ``sum_tolerance`` that is a bool, no real
+    number, NaN, infinite or negative, raise ``ValueError``.
     """
 
     __slots__ = ("vectors", "sum_tolerance", "_scale")
@@ -93,7 +93,7 @@ class ZeroSumFamily:
             sum_tolerance = 1e-9 * peak * float(np.linalg.norm(a / peak, axis=1).sum())
         # An infinite or NaN tolerance would switch off both this check and
         # the greedy's existence backstop (x > nan is always False).
-        sum_tolerance = float(sum_tolerance)
+        sum_tolerance = _real("sum_tolerance", sum_tolerance)
         if not 0.0 <= sum_tolerance < math.inf:
             raise ValueError(
                 "sum_tolerance must be finite and >= 0, got %r" % (sum_tolerance,)

@@ -363,3 +363,21 @@ def test_readme_examples_run(capsys):
     assert example.endswith("$ echo $?\n0\n") and proc.returncode == 0
     (result,) = json.loads(proc.stdout)["results"]
     assert {k: result[k] for k in shown} == shown
+
+
+def test_public_surface_matches_all_and_readme():
+    # every export resolves, retired names stay gone, and the README's python
+    # block (run by test_readme_examples_run) imports only exported names
+    import pavekit
+    import pavekit.paving
+
+    assert len(set(pavekit.__all__)) == len(pavekit.__all__)
+    for name in pavekit.__all__:
+        assert getattr(pavekit, name) is not None, name
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    for name in ("paving_pair", "PavingPair", "conjectureB_probe"):
+        assert name not in pavekit.__all__ and not hasattr(pavekit, name)
+        assert not hasattr(pavekit.paving, name) and name not in readme
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    (imported,) = re.findall(r"^from pavekit import \((.*?)\)", code, re.M | re.S)
+    assert set(imported.replace(",", " ").split()) <= set(pavekit.__all__)

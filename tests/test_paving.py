@@ -27,9 +27,7 @@ from pavekit.paving import (
     brute_force_min,
     brute_force_min_vector,
     conjectureA_test,
-    conjectureB_probe,
     delta_p_numeric,
-    paving_pair,
     records_to_csv,
     scan,
 )
@@ -480,40 +478,6 @@ def test_conjectureA_satisfaction_rate_reported():
     assert 0 <= satisfied <= count
 
 
-def test_conjectureB_probe_examples():
-    p = rank1([1.0, 1.0, 1.0, 1.0])
-    assert conjectureB_probe(p, gamma=0.3, epsilon=0.5)  # delta=1/4 < gamma, min=0
-    identity = Projection(OrthonormalFrame(np.eye(2)))
-    assert not conjectureB_probe(identity, gamma=1.5, epsilon=0.1)
-    assert conjectureB_probe(identity, gamma=0.5, epsilon=0.99)  # vacuous
-
-
-def test_paving_pair_examples():
-    p = rank1([1.0, 1.0])
-    full = paving_pair(p, Symmetry([1, 1]))
-    assert full.maxnorm == pytest.approx(1.0)
-    empty = paving_pair(p, Symmetry([-1, -1]))
-    assert empty.maxnorm == pytest.approx(1.0)
-    split = paving_pair(p, Symmetry([1, -1]))
-    assert split.maxnorm == pytest.approx(0.5)
-    assert split.threshold == pytest.approx(1.0)
-    assert split.maxnorm <= split.threshold
-
-
-def test_paving_pair_on_brute_force_argmin():
-    # observational cross-check: on comfortable Conjecture A instances the
-    # argmin's paving pair has stayed under its threshold
-    hits = 0
-    for seed in range(10):
-        p = random_projection(8, 4, seed=seed)
-        rec = conjectureA_test(p, seed=seed)
-        if rec.min_psp_norm <= rec.two_delta_p - 0.1:
-            pair = paving_pair(p, Symmetry(np.array(rec.argmin_signs)))
-            hits += 1
-            assert pair.maxnorm <= pair.threshold + 1e-9
-    assert hits > 0
-
-
 def test_scan_determinism_and_count():
     cfg = ScanConfig(n=10, rank=5, count=5, seed=1)
     a = scan(cfg)
@@ -563,7 +527,8 @@ def test_balance_scan_records_match_the_instance_tests():
         for key in ("runtime_ms", "conjectureB_holds", "single_vector_norms"):
             del want[key], got[key]
         assert got == want
-        assert rec.conjectureB_holds == conjectureB_probe(p, gamma=0.75, epsilon=0.3)
+        min_norm = brute_force_min(p)[0]
+        assert rec.conjectureB_holds == (rec.delta_p >= 0.75 or min_norm < 1 - 0.3)
         assert len(rec.single_vector_norms) == 6
 
 
@@ -612,8 +577,8 @@ def test_config_validation():
     # gamma and epsilon: any real number but bool, stored as a Python float
     with pytest.raises(ValueError, match="gamma must be a real number, got True"):
         ScanConfig(n=4, rank=2, count=1, seed=0, gamma=True, epsilon=0.1)
-    with pytest.raises(ValueError, match="epsilon must be a real number, got None"):
-        conjectureB_probe(rank1([1.0, 1.0]), 0.5, None)
+    with pytest.raises(ValueError, match="epsilon must be a real number, got '0.1'"):
+        ScanConfig(n=4, rank=2, count=1, seed=0, gamma=0.5, epsilon="0.1")
     cfg = ScanConfig(n=4, rank=2, count=1, seed=0, gamma=1, epsilon=np.float64(0.25))
     assert (type(cfg.gamma), type(cfg.epsilon)) == (float, float)
 
@@ -626,8 +591,6 @@ def test_config_validation():
 def test_conjectureB_parameters_validated(gamma, epsilon):
     with pytest.raises(ValueError):
         ScanConfig(n=4, rank=2, count=1, seed=0, gamma=gamma, epsilon=epsilon)
-    with pytest.raises(ValueError):
-        conjectureB_probe(rank1([1.0, 1.0]), gamma=gamma, epsilon=epsilon)
 
 
 @pytest.mark.parametrize("workers, count, expected", [

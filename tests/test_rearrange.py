@@ -85,10 +85,10 @@ def test_family_rejects_non_finite_entries(bad):
         ZeroSumFamily([[1.0, bad], [-1.0, 0.0]])
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, True, np.True_, "0.5"])
 def test_family_rejects_non_finite_sum_tolerance(tol):
-    # Either value would pass a family that does not sum to zero and switch
-    # off the greedy's existence backstop.
+    # NaN or inf would pass a family that does not sum to zero and switch
+    # off the greedy's existence backstop; a bool or string is no tolerance.
     with pytest.raises(ValueError, match="sum_tolerance"):
         ZeroSumFamily([[1.0, 0.0], [1.0, 0.0]], sum_tolerance=tol)
 
