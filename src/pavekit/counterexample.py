@@ -57,19 +57,31 @@ p s p (v_0) in the frame basis gives coefficients
 where S = sum eps_i = 2*alpha - m^2 and T = sum eps'_i = 2*beta - (2m+1)
 count the +1 signs on the a and b blocks.  ||psp(v_0)||^2 therefore depends
 on s only through (alpha, beta), which collapses the 2^n symmetry search to
-the lattice 0 <= alpha <= m^2, 0 <= beta <= 2m+1.  For fixed beta, with
-w = 2m+1 and t = 2*beta - w, it is a strictly convex quadratic in alpha
-(leading coefficient 4(m^4 + w) > 0) with vertex
+the lattice 0 <= alpha <= m^2, 0 <= beta <= 2m+1, and the lattice minimum
+has a closed form.  Write U for the value in units of 1/(m^4 (m+1)^4)
+(``_norm_sq_units``) and
 
-    alpha* = m^2 (m^4 + w - t(m^2 - 1)) / (2 (m^4 + w)),
+    s = 2*alpha - m^2 (= S), t = 2*beta - w (= T, w = 2m+1), u = s + t,
+    A = 2m^2 + 2m + 1:
+        U - (2m+1) m^4 = m^4 u^2 + A s^2 - 2 m^2 u s.
 
-so a row's integer minimizers lie in {floor(alpha*), floor(alpha*) + 1},
-clamped to [0, m^2], and the exact value-then-lex lattice minimum is the
-least of those 2(2m+2) cells (found with integer floor division).  It
-exceeds (2*delta_p)^2 exactly once m >= 8: no diagonal symmetry gets within
-2*delta_p of cancelling p, refuting the "||psp|| <= 2 delta_p" paving
-conjecture (Conjecture A).  Signs on the c and d blocks never matter because
-v_0 is supported on a and b alone.
+t is odd; s has the parity of m.  For real s, A s^2 - 2 m^2 u s >= -m^4 u^2 / A.
+even m (s even, u odd):  s = 0 gives m^4 u^2 >= m^4, with equality iff u = +-1;
+    |u| = 1, |s| >= 2 gives A s^2 - 2 m^2 u s >= |s| (A|s| - 2m^2) > 0;
+    |u| >= 3 gives at least 9 m^4 (1 - 1/A) > m^4.
+    So the minimizers are exactly (s, t) = (0, +-1), and the lex-first is
+    (alpha, beta) = (m^2/2, m), with U = (2m+2) m^4.
+odd m (s, t odd, u even):  u = 0 gives A s^2 >= A, with equality iff s = +-1;
+    |u| >= 2 gives at least 4 m^4 (1 - 1/A) > A, since 8 m^5 (m+1) > A^2
+    for m >= 2.
+    So the minimizers are exactly (s, t) = (+-1, -+1), and the lex-first is
+    (alpha, beta) = ((m^2-1)/2, m+1), with U = (2m+1)(m^4+1) + 2m^2.
+
+Both cells lie in the lattice, so the exact value-then-lex minimum costs
+one evaluation per m.  It exceeds (2*delta_p)^2 exactly once m >= 8: no
+diagonal symmetry gets within 2*delta_p of cancelling p, refuting the
+"||psp|| <= 2 delta_p" paving conjecture (Conjecture A).  Signs on the c and
+d blocks never matter because v_0 is supported on a and b alone.
 
 Integer arguments (m, alpha, beta, index fields, profile signs) follow the
 package's one integer rule, ``linalg._integer``.
@@ -414,8 +426,7 @@ def psp_v0_coeffs(m: int, prof: SignProfile) -> tuple[Fraction, list[Fraction]]:
 
 def _norm_sq_units(m2: int, w: int, alpha: int, beta: int) -> int:
     # ||psp(v_0)||^2 in units of 1/(m^4 (m+1)^4), from the a and b block
-    # sizes m2 = m^2 and w = 2m+1; pure integer arithmetic so the lattice
-    # scan stays fast and exact.
+    # sizes m2 = m^2 and w = 2m+1; pure integer arithmetic, so exact.
     s = 2 * alpha - m2
     t = 2 * beta - w
     return m2 * m2 * (s + t) ** 2 + beta * (m2 - s) ** 2 + (w - beta) * (m2 + s) ** 2
@@ -500,31 +511,25 @@ class CertificateReport:
         }
 
 
-def _lattice_min(m2: int, w: int) -> tuple[int, int, int]:
-    """Least (units, alpha, beta) over the lattice [0, m2] x [0, w], from
-    the two candidate cells of each row (see the module docstring)."""
-    best = None
-    for beta in range(w + 1):
-        t = 2 * beta - w
-        floor = m2 * (m2 * m2 + w - t * (m2 - 1)) // (2 * (m2 * m2 + w))
-        for alpha in (floor, floor + 1):
-            alpha = min(max(alpha, 0), m2)
-            cell = (_norm_sq_units(m2, w, alpha, beta), alpha, beta)
-            if best is None or cell < best:
-                best = cell
-    return best
+def _lattice_min(m: int) -> tuple[int, int, int]:
+    """Least (units, alpha, beta) over the lattice [0, m^2] x [0, 2m+1]: the
+    cell (floor(m^2/2), m + m mod 2) that the module docstring proves is the
+    value-then-lex minimum, and its value."""
+    alpha, beta = m * m // 2, m + m % 2
+    return _norm_sq_units(m * m, 2 * m + 1, alpha, beta), alpha, beta
 
 
 def min_over_symmetries_v0(m: int) -> CertificateReport:
     """Exact minimum of ||psp(v_0)||^2 over every diagonal symmetry.
 
-    An exhaustive certificate over all 2^n symmetries, since the norm
-    depends on s only through the counts (alpha, beta) and the c/d signs
-    are irrelevant.  Ties resolve to the lexicographically smallest
-    (alpha, beta).
+    A certificate over all 2^n symmetries, since the norm depends on s only
+    through the counts (alpha, beta) and the c/d signs are irrelevant; the
+    lattice minimum over (alpha, beta) is the closed-form cell proved in the
+    module docstring, so each m costs O(1) lattice work.  Ties resolve to
+    the lexicographically smallest (alpha, beta).
     """
-    m, layout = _blocks(m)
-    units, alpha, beta = _lattice_min(layout["a"].size, layout["b"].size)
+    m = _integer("m", m, MIN_M)
+    units, alpha, beta = _lattice_min(m)
     min_norm_sq = Fraction(units, m**4 * (m + 1) ** 4)
     delta = delta_p_exact(m)
     verdict = FALSIFIES_A if min_norm_sq > 4 * delta * delta else INCONCLUSIVE

@@ -9,8 +9,10 @@ to the coordinate space is an isometry onto range(p).  One kernel,
 one batched matmul, each matrix the same product ``compress_psp`` forms for a
 single sign vector.  The operator norm is
 read off the extreme eigenvalues from LAPACK's symmetric eigensolver
-(``numpy.linalg.eigvalsh``).  Matrices and frames with a non-finite entry
-are rejected at construction, so no NaN reaches an eigensolve.
+(``numpy.linalg.eigvalsh``).  Array arguments hold integers or floats only
+(``_numeric_array``), never bools or strings cast to numbers.  Matrices and
+frames with a non-finite entry are rejected at construction, so no NaN
+reaches an eigensolve.
 ``delta_p_numeric`` is the one float delta_p, shared by paving and rearrange.
 
 All types are immutable after construction and all operations are pure
@@ -52,6 +54,25 @@ def _real(name: str, x) -> float:
     return float(x)
 
 
+def _numeric_array(name: str, x) -> np.ndarray:
+    # The package's one array rule: integer and float entries only, taken as
+    # np.asarray gives them; anything else is a ValueError.  A float cast
+    # would read '1' and True as 1, and a list can mix a bool into numbers
+    # without changing the array's dtype, so a list's entries are checked
+    # too.  Shapes and values are the caller's.
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf" or (
+            not isinstance(x, np.ndarray)
+            and any(isinstance(e, (bool, np.bool_)) for e in np.asarray(x, dtype=object).flat)):
+        raise ValueError("%s must hold integers or floats, not bool, str or object" % name)
+    return a
+
+
+def _real_array(name: str, x, copy: bool = False) -> np.ndarray:
+    # The array rule's entries as a float64 array, a fresh one if ``copy``.
+    return _numeric_array(name, x).astype(float, copy=copy)
+
+
 def _max_abs(x: np.ndarray):
     # The ufunc reduce itself skips ndarray.max's Python-level wrapper, which
     # is a measurable share of a reduction over an r x r matrix.
@@ -64,7 +85,7 @@ class SymmetricMatrix:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        a = np.asarray(mat, dtype=float)
+        a = _real_array("matrix", mat)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
         # Halving first is exact (short of subnormals), so h + h.T has the
@@ -100,7 +121,7 @@ class OrthonormalFrame:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        a = np.array(rows, dtype=float)
+        a = _real_array("rows", rows, copy=True)
         if a.ndim != 2:
             raise ValueError("expected a 2-d array of rows, got shape %s" % (a.shape,))
         if not np.isfinite(a).all():
@@ -156,9 +177,9 @@ class Projection:
         return self.frame.rank
 
     def apply(self, v: Vector) -> Vector:
-        """p(v) = F^T (F v).  A v with a NaN or infinite entry raises
-        ``ValueError``."""
-        v = np.asarray(v, dtype=float)
+        """p(v) = F^T (F v).  A v with a NaN, infinite, bool or string entry
+        raises ``ValueError``."""
+        v = _real_array("v", v)
         if v.shape != (self.n,):
             raise ValueError("dimension mismatch: vector %s vs n=%d" % (v.shape, self.n))
         if not np.isfinite(v).all():
@@ -180,16 +201,9 @@ class Symmetry:
     __slots__ = ("signs",)
 
     def __init__(self, signs):
-        a = np.asarray(signs)
+        a = _numeric_array("signs", signs)
         if a.ndim != 1:
             raise ValueError("signs must be a 1-d sequence")
-        # Only integer and float entries: a float cast would read '1' and
-        # True as 1.  A list can mix a bool into integers without changing
-        # the array's dtype, so its entries are checked too.
-        if a.dtype.kind not in "iuf" or (
-                not isinstance(signs, np.ndarray)
-                and any(isinstance(x, (bool, np.bool_)) for x in signs)):
-            raise ValueError("signs must be integers or floats, not bool, str or object")
         # Compare before any integer cast, which would truncate 1.9 to 1.
         if not np.all(np.abs(a) == 1):
             raise ValueError("every sign must be exactly +1 or -1")
@@ -221,7 +235,7 @@ def compressions(p: Projection, rows) -> np.ndarray:
     single product ``(f * w) @ f.T``, so it does not depend on which rows
     share its batch.  Memory is k*r*(n + r) floats: callers bound k.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = _real_array("rows", rows)
     if rows.ndim != 2 or rows.shape[1] != p.n:
         raise ValueError("expected rows of length n=%d, got shape %s" % (p.n, rows.shape))
     f = p.frame.rows

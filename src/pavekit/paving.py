@@ -237,8 +237,8 @@ def brute_force_min_vector(
     """Exhaustive minimum of ||psp(v)|| (a vector norm, not the operator norm).
 
     Vectorized over each chunk of sign vectors, with the search, memory
-    bound and tie rule of ``brute_force_min``.  A v with a NaN or infinite
-    entry raises ``ValueError``.
+    bound and tie rule of ``brute_force_min``.  A v with a NaN, infinite,
+    bool or string entry raises ``ValueError``.
     """
     pv = p.apply(v)
     f = p.frame.rows

@@ -46,7 +46,16 @@ import math
 
 import numpy as np
 
-from .linalg import Projection, Symmetry, Vector, _integer, _real, apply_psp, delta_p_numeric
+from .linalg import (
+    Projection,
+    Symmetry,
+    Vector,
+    _integer,
+    _real,
+    _real_array,
+    apply_psp,
+    delta_p_numeric,
+)
 
 PREFIX_TOL = 1e-10      # slack for "nonpositive" inner products, times scale
 PREFIX_CUT_TOL = 1e-12  # slack in the |1/2 - prefix| <= delta/2 cut
@@ -59,15 +68,16 @@ class ZeroSumFamily:
     ``sum_tolerance`` defaults to 1e-9 times the total vector length mass;
     construction fails if ||sum v_i|| exceeds it.  ``[]`` is the empty
     family and a (k, 0) array is k vectors of dimension 0; any other input
-    that is not a 2-d array, a non-finite entry, k vectors whose
-    k^2 * scale() overflows, and a ``sum_tolerance`` that is a bool, no real
-    number, NaN, infinite or negative, raise ``ValueError``.
+    that is not a 2-d array, an entry that is not an integer or float (a
+    bool or string), a non-finite entry, k vectors whose k^2 * scale()
+    overflows, and a ``sum_tolerance`` that is a bool, no real number, NaN,
+    infinite or negative, raise ``ValueError``.
     """
 
     __slots__ = ("vectors", "sum_tolerance", "_scale")
 
     def __init__(self, vectors, sum_tolerance: float | None = None):
-        a = np.array(vectors, dtype=float)
+        a = _real_array("vectors", vectors, copy=True)
         if a.ndim == 1 and a.size == 0:
             a = a.reshape(0, 0)  # [] is the empty family
         if a.ndim != 2:
@@ -244,10 +254,11 @@ def single_vector_symmetry(p: Projection, v: Vector) -> SingleVectorResult:
     coordinates z_i = F y_i = v_i (F e_i - v_i F v), an r x n array, never as
     n-vectors: F^T z_i = y_i and F^T is an isometry, so the greedy sees the
     same inner products up to roundoff.  ``unit_target`` and the final
-    guarantee check stay in R^n.  A v with a NaN or infinite entry, and a v
-    whose projection vanishes relative to max|v_i|, raise ``ValueError``.
+    guarantee check stay in R^n.  A v with a NaN, infinite, bool or string
+    entry, and a v whose projection vanishes relative to max|v_i|, raise
+    ``ValueError``.
     """
-    v = np.asarray(v, dtype=float)
+    v = _real_array("v", v)
     if not np.isfinite(v).all():
         raise ValueError("v has a NaN or infinite entry")
     peak = float(np.abs(v).max(initial=0.0))

@@ -418,6 +418,38 @@ def test_lattice_minimum_against_direct_scan():
         rep = min_over_symmetries_v0(m)
         assert rep.min_norm_sq == value, m
         assert rep.argmin == (alpha, beta), m
+        # exactly the two cells the module docstring's proof names reach it:
+        # (s, t) = (0, +-1) for even m, (+-1, -+1) for odd m
+        st = [(0, 1), (0, -1)] if m % 2 == 0 else [(-1, 1), (1, -1)]
+        named = {((s + m * m) // 2, (t + 2 * m + 1) // 2) for s, t in st}
+        assert {(a, b) for v, a, b in cells if v == value} == named, m
+
+
+def row_vertex_scan(m):
+    # The per-row scan the certificate ran before the closed form: for fixed
+    # beta the value is a strictly convex quadratic in alpha with vertex
+    # alpha* = m^2 (m^4 + w - t(m^2 - 1)) / (2 (m^4 + w)), so each row's
+    # integer minimizers lie in {floor(alpha*), floor(alpha*) + 1}, clamped
+    # to [0, m^2]; the least (units, alpha, beta) of those 2(2m+2) cells.
+    m2, w = m * m, 2 * m + 1
+    best = None
+    for beta in range(w + 1):
+        t = 2 * beta - w
+        floor = m2 * (m2 * m2 + w - t * (m2 - 1)) // (2 * (m2 * m2 + w))
+        for alpha in (floor, floor + 1):
+            alpha = min(max(alpha, 0), m2)
+            cell = (counterexample._norm_sq_units(m2, w, alpha, beta), alpha, beta)
+            if best is None or cell < best:
+                best = cell
+    return best
+
+
+def test_closed_form_lattice_minimum_against_the_row_scan():
+    for m in range(2, 401):
+        units, alpha, beta = row_vertex_scan(m)
+        rep = min_over_symmetries_v0(m)
+        assert rep.min_norm_sq == Fraction(units, m**4 * (m + 1) ** 4), m
+        assert rep.argmin == (alpha, beta), m
 
 
 def test_lattice_coordinates_must_be_integers():

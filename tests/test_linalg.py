@@ -29,6 +29,10 @@ def test_symmetric_matrix_validates_and_symmetrizes():
         SymmetricMatrix([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(ValueError):
         SymmetricMatrix(np.zeros((2, 3)))
+    # strings and bools are refused, not cast to 1.0 and 0.0
+    for bad in ([["1", "0"], ["0", "1"]], [[True, False], [False, True]]):
+        with pytest.raises(ValueError, match="matrix must hold integers or floats"):
+            SymmetricMatrix(bad)
 
 
 def test_symmetric_matrix_stores_the_mean_of_a_and_its_transpose():
@@ -76,6 +80,9 @@ def test_non_finite_entries_rejected_at_construction(bad):
 def test_frame_rejects_non_orthonormal_rows():
     with pytest.raises(ValueError):
         OrthonormalFrame([[1.0, 1.0], [0.0, 1.0]])
+    for bad in ([["1", "0"]], [[True, False]]):
+        with pytest.raises(ValueError, match="rows must hold integers or floats"):
+            OrthonormalFrame(bad)
     f = OrthonormalFrame(np.zeros((0, 4)))
     assert f.rank == 0 and f.n == 4
 
@@ -132,6 +139,8 @@ def test_compressions_stack_the_single_products():
     for bad in (np.ones(16), np.ones((2, 15))):
         with pytest.raises(ValueError, match="rows"):
             compressions(p, bad)
+    with pytest.raises(ValueError, match="rows must hold integers or floats"):
+        compressions(random_projection(4, 2, 1), [["1", "1", "1", "1"]])
 
 
 def test_operator_norm_examples():
@@ -187,6 +196,8 @@ def test_apply_psp_examples():
     assert np.allclose(apply_psp(p, Symmetry([1, -1]), u), 0.0)
     with pytest.raises(ValueError):
         apply_psp(p, Symmetry([1, -1]), np.ones(3))
+    with pytest.raises(ValueError, match="v must hold integers or floats"):
+        random_projection(4, 2, 1).apply(np.array([True, False, True, False]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -388,6 +388,8 @@ def test_brute_force_min_vector_consistency():
     assert mn == pytest.approx(math.sqrt(3.0) / 3.0, abs=1e-12)
     with pytest.raises(BruteForceCapError):
         brute_force_min_vector(p, np.ones(3), max_n=2)
+    with pytest.raises(ValueError, match="v must hold integers or floats"):
+        brute_force_min_vector(random_projection(4, 2, 1), ["1", "0", "0", "1"])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

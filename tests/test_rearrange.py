@@ -73,6 +73,11 @@ def _reference_greedy(family):
 def test_family_rejects_nonzero_sum():
     with pytest.raises(ValueError):
         ZeroSumFamily([[1.0, 0.0], [0.0, 1.0]])
+    # strings and bools are no vectors, although both of these sum to zero
+    # once cast to floats
+    for bad in ([["1", "0"], ["-1", "0"]], [[True, False], [False, True], [-1, -1]]):
+        with pytest.raises(ValueError, match="vectors must hold integers or floats"):
+            ZeroSumFamily(bad)
     fam = ZeroSumFamily([[1.0, 0.0], [-1.0, 0.0]])
     assert len(fam) == 2 and fam.dim == 2
     # configurable tolerance admits slightly off-zero sums
@@ -368,6 +373,8 @@ def test_single_vector_rejects_vector_outside_range():
         single_vector_symmetry(p, np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         single_vector_symmetry(p, np.zeros(2))
+    with pytest.raises(ValueError, match="v must hold integers or floats"):
+        single_vector_symmetry(random_projection(4, 2, 1), ["1", "0", "0", "1"])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
