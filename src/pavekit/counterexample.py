@@ -43,10 +43,14 @@ Read off the displays: R is m^2 on the a and b classes of v_0; on v_i, R is
 classes as dense columns and each c_{ij} as its edge (i, j), the two rows
 that carry -m and +m, so the exact checks cost in proportion to the class
 count; only ``float_frame`` writes the c block out densely.
-Orthonormality, the row norms and delta_p are decided in integer and
-rational arithmetic.
-The largest diagonal entry of p is delta_p = 2/(m+1)^2 (the b-block value)
-for every m >= 2, as 2m+1 < m^4, 1 < m^2 and m^2-1 < 2m^2 (a, c, d blocks).
+Orthonormality is decided in integer arithmetic.  The diagonal of p is
+constant on each block, the squared norm of one class column; over
+L^2 = (m^2 (m+1))^2 its numerators are
+
+    a: m^4 + 2m + 1,   b: 2 m^4,   c: 2 m^2,   d: (m-1) m^2 (m+1).
+
+The b value is the largest for every m >= 2, as 2m+1 < m^4, 1 < m^2 and
+m^2-1 < 2m^2 (against a, c, d), so delta_p = 2/(m+1)^2.
 
 For a diagonal symmetry s write eps_i = s(a_i), eps'_i = s(b_i).  Expanding
 p s p (v_0) in the frame basis gives coefficients
@@ -90,7 +94,6 @@ package's one integer rule, ``linalg._integer``.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -326,15 +329,10 @@ BLOCK_REPRESENTATIVES = {
 }
 
 
-def _row_norms_sq(m: int, layout: dict[str, _Block], classes: list[int]) -> list[int]:
-    # Squared norms of the class columns as integer numerators over
-    # L^2 = (m^2 (m+1))^2, on verify_orthonormal's scale: the sum of R's
-    # squares plus (m-1) m^2 (m+1) times the sum of D's.  Summed in Python
-    # ints, as the squares leave int64 from m = 55109 on.
-    r, d = _columns(m, layout, np.array(classes))
-    weight = (m - 1) * m * m * (m + 1)
-    return [sum(map(operator.mul, rc, rc)) + weight * sum(map(operator.mul, dc, dc))
-            for rc, dc in zip(r.T.tolist(), d.T.tolist())]
+def _diagonal(m: int) -> dict[str, int]:
+    # The module docstring's table: the diagonal of p on each block as an
+    # integer numerator over L^2 = (m^2 (m+1))^2, for a checked m.
+    return {"a": m**4 + 2 * m + 1, "b": 2 * m**4, "c": 2 * m * m, "d": (m - 1) * m * m * (m + 1)}
 
 
 def row_norm_sq(m: int, index: BasisIndex) -> Fraction:
@@ -348,25 +346,22 @@ def row_norm_sq(m: int, index: BasisIndex) -> Fraction:
         c: 2/(m^2 (m+1)^2)
         d: (m-1)/(m^2 (m+1))
 
-    Only the class column of x is built.  A coordinate's entries are
-    rational on the a, b and c blocks and pure multiples of sqrt(rho) on the
-    d block, so the squares never carry a radical.
+    x is checked against the layout, and its block's value read from the
+    module docstring's table of numerators over L^2, so no column is built.
     """
     m, layout = _blocks(m)
-    return Fraction(_row_norms_sq(m, layout, [_class_of(layout, index)])[0],
-                    (m * m * (m + 1)) ** 2)
+    _class_of(layout, index)  # refuses what names no coordinate of the layout
+    return Fraction(_diagonal(m)[index.block], (m * m * (m + 1)) ** 2)
 
 
 def delta_p_exact(m: int) -> Fraction:
     """Exact delta_p: the largest diagonal entry of p.
 
-    Computed as the maximum of the four block values, summed from one built
-    column per block (its first class, the class of BLOCK_REPRESENTATIVES).
-    Equals 2/(m+1)^2 for every m >= 2.
+    The maximum of the module docstring's table of block values, which its
+    three inequalities place on the b block: 2/(m+1)^2 for every m >= 2.
     """
-    m, layout = _blocks(m)
-    return Fraction(max(_row_norms_sq(m, layout, [b.start for b in layout.values()])),
-                    (m * m * (m + 1)) ** 2)
+    m = _integer("m", m, MIN_M)
+    return Fraction(max(_diagonal(m).values()), (m * m * (m + 1)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -452,22 +447,26 @@ def branch_lower_bound(m: int, alpha: int) -> float:
     bounded below by (m^2-4m-2)/4 * delta_p; from m^2/4 on, the component in
     span(v_1..v_{2m+1}) is bounded below by sqrt(2m+1) * 2*alpha/(m^2(m+1)^2).
     Returns a float (the second branch is irrational); certificate
-    comparisons never use it.
+    comparisons never use it.  Each rational factor is rounded once from its
+    exact value, so no m overflows a float or reads inf/inf.
     """
     m = _integer("m", m, ANALYTIC_MIN_M)
     alpha = _integer("alpha", alpha, 0, m * m // 2)
-    delta = 2.0 / (m + 1) ** 2
     if 4 * alpha < m * m:
-        return (m * m - 4 * m - 2) / 4.0 * delta
-    return math.sqrt(2 * m + 1) * 2.0 * alpha / (m * m * float(m + 1) ** 2)
+        return float(Fraction(m * m - 4 * m - 2, 2 * (m + 1) ** 2))
+    scale = float(Fraction(2 * alpha, m * m * (m + 1) ** 2))
+    # 0.0 only past m ~ 1e162, before sqrt(2m+1) could overflow
+    return math.sqrt(2 * m + 1) * scale if scale else 0.0
 
 
 def branch_bound_overall(m: int) -> float:
     """The alpha-independent form of the analytic bound:
-    (delta_p/4) * min(m^2 - 4m - 2, sqrt(2m+1))."""
+    (delta_p/4) * min(m^2 - 4m - 2, sqrt(2m+1)), which is
+    (delta_p/4) * sqrt(2m+1) for every m >= 6."""
     m = _integer("m", m, ANALYTIC_MIN_M)
-    delta = 2.0 / (m + 1) ** 2
-    return delta / 4.0 * min(float(m * m - 4 * m - 2), math.sqrt(2 * m + 1))
+    delta = float(Fraction(2, (m + 1) ** 2))
+    # delta underflows to 0.0 past m ~ 1e162, before sqrt(2m+1) could overflow
+    return delta / 4.0 * math.sqrt(2 * m + 1) if delta else 0.0
 
 
 def rational_to_str(x: Fraction) -> str:
@@ -477,7 +476,7 @@ def rational_to_str(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Outcome of the exhaustive (alpha, beta) scan for one m.
+    """Outcome of the closed-form (alpha, beta) lattice minimum for one m.
 
     ``verdict`` is FALSIFIES_A exactly when min_norm_sq > (2*delta_p)^2 as
     rationals: the exact minimum of ||psp(v_0)|| over all diagonal

@@ -91,6 +91,21 @@ def test_m_that_is_no_integer_of_at_least_2_exits_1(args, capsys):
     assert proc.stdout == ""
 
 
+def test_certify_at_sizes_no_frame_could_have(capsys):
+    # m = 10^155 would overflow a float bound; m = 10^400 underflows delta_p
+    for m in (10**155, 10**400):
+        proc = run_main(capsys, "certify", "--m", str(m))
+        assert proc.returncode == 0, proc.stderr
+        (result,) = json.loads(proc.stdout)["results"]
+        assert result["m"] == m and result["verdict"] == "FALSIFIES_A"
+        assert result["delta_p"] == "2/%d" % (m + 1) ** 2
+        assert 0.0 <= result["branch_bound"] < 1e-229
+    # past Python's 4300-digit limit on int strings, m is a usage error
+    proc = run_main(capsys, "certify", "--m", "1" + "0" * 4400)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "error:" in proc.stderr and "4300 digits" in proc.stderr
+
+
 def test_certify_range_with_falsification(capsys):
     proc = run_main(capsys, "certify", "--m", "6..9")
     assert proc.returncode == 0

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import time
 import tracemalloc
 from fractions import Fraction
@@ -39,8 +40,8 @@ def random_profile(m, rng):
     )
 
 
-# The four closed-form block values; the library computes row norms by
-# summing entry squares, so these serve as an independent check.
+# The four block values as the row_norm_sq docstring displays them, sums of
+# fractions; the library reads them from a table of integer numerators.
 def block_formulas(m):
     return {
         "a": Fraction(1, (m + 1) ** 2) + Fraction(2 * m + 1, m**4 * (m + 1) ** 2),
@@ -274,12 +275,56 @@ def test_row_norms_follow_the_dense_frame_at_every_coordinate():
             assert counterexample._class_of(layout, ix) == classes[x], (m, ix)
 
 
+def column_norms_sq(m, layout, classes):
+    # Squared norms of the class columns built by _columns, as integer
+    # numerators over L^2 = (m^2 (m+1))^2: the sum of R's squares plus
+    # (m-1) m^2 (m+1) times the sum of D's, in Python ints.  The library
+    # computed row norms this way before it read them from a table.
+    r, d = counterexample._columns(m, layout, np.array(classes))
+    weight = (m - 1) * m * m * (m + 1)
+    return [sum(map(operator.mul, rc, rc)) + weight * sum(map(operator.mul, dc, dc))
+            for rc, dc in zip(r.T.tolist(), d.T.tolist())]
+
+
+def test_diagonal_table_against_the_built_columns():
+    # the first and the last class of every block, built as columns
+    for m in range(2, 401):
+        _, layout = counterexample._blocks(m)
+        firsts = column_norms_sq(m, layout, [b.start for b in layout.values()])
+        lasts = column_norms_sq(m, layout, [b.start + b.classes - 1 for b in layout.values()])
+        table = counterexample._diagonal(m)
+        assert firsts == lasts == [table[k] for k in layout], m
+        scale = (m * m * (m + 1)) ** 2
+        for k, ix in counterexample.BLOCK_REPRESENTATIVES.items():
+            assert row_norm_sq(m, ix) == Fraction(table[k], scale), (m, k)
+        assert delta_p_exact(m) == Fraction(max(firsts), scale), m
+
+
+def test_diagonal_costs_no_memory_in_m():
+    # no array of 2m+2 rows: a few Python ints, at sizes no frame could have
+    m = 10**6
+    calls = (
+        (lambda: delta_p_exact(m), Fraction(2, (m + 1) ** 2)),
+        (lambda: row_norm_sq(m, BasisIndex.c(1, 2)), Fraction(2, m**2 * (m + 1) ** 2)),
+        (lambda: min_over_symmetries_v0(10**30).verdict, FALSIFIES_A),
+    )
+    for call, want in calls:
+        tracemalloc.start()
+        try:
+            got = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 64 << 10, (want, peak)
+
+
 def test_delta_p_values():
     assert delta_p_exact(6) == Fraction(2, 49)
     assert delta_p_exact(10) == Fraction(2, 121)
     assert delta_p_exact(8) == Fraction(2, 81)
-    # the frame at m=200 has 16 million coordinates; delta_p reads four
-    # columns, so it takes milliseconds and no memory to speak of
+    # the frame at m=200 has 16 million coordinates; delta_p reads a table
+    # of four integers, so it takes microseconds and no memory to speak of
     start = time.perf_counter()
     assert delta_p_exact(200) == Fraction(2, 201**2)
     assert time.perf_counter() - start < 1.0
@@ -511,6 +556,22 @@ def test_branch_bound_examples():
         branch_lower_bound(5, 0)
     with pytest.raises(ValueError):
         branch_lower_bound(6, 19)  # above m^2/2
+
+
+def test_branch_bounds_at_huge_m():
+    # both bounds round exact rationals, so no m overflows a float: the
+    # first branch tends to 1/2, the second and the overall bound to 0.0
+    for m in (10**153, 2 * 10**154, 10**155, 10**163, 10**400):
+        for alpha in (0, m * m // 4 - 1, m * m // 4, m * m // 2):
+            bound = branch_lower_bound(m, alpha)
+            assert 0.0 <= bound <= 0.5 and not math.isnan(bound), (m, alpha)
+        assert 0.0 <= branch_bound_overall(m) < 1e-229
+    assert branch_lower_bound(10**153, 10**306 // 2) == pytest.approx(math.sqrt(2e153) / 1e306)
+    assert branch_bound_overall(10**400) == 0.0
+    # the overall bound keeps the bits of (delta_p/4) * sqrt(2m+1), the
+    # smaller arm of min(m^2 - 4m - 2, sqrt(2m+1)) for every m >= 6
+    for m in range(6, 3000):
+        assert branch_bound_overall(m) == 2.0 / (m + 1) ** 2 / 4.0 * math.sqrt(2 * m + 1)
 
 
 def test_branch_bound_sound_on_every_normalized_cell():
