@@ -49,6 +49,10 @@ EXIT_USAGE = 1
 EXIT_INTERNAL = 2
 EXIT_INCONCLUSIVE = 3
 
+# The most values of m one certify run takes: its report holds about 3.4 KB
+# per m, so the cap keeps a run near 34 MB.
+MAX_CERTIFY_MS = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract here is 1.
@@ -80,7 +84,7 @@ def _envelope(command: str, flags: dict, payload: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_m_range(text: str) -> list[int]:
+def _parse_m_range(text: str) -> range:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
@@ -88,7 +92,10 @@ def _parse_m_range(text: str) -> list[int]:
         lo = hi = int(text)
     if hi < lo:
         raise ValueError("empty m range %r" % text)
-    return list(range(lo, hi + 1))
+    if hi - lo >= MAX_CERTIFY_MS:
+        raise ValueError("m range %r has %d values; certify takes at most %d per run"
+                         % (text, hi - lo + 1, MAX_CERTIFY_MS))
+    return range(lo, hi + 1)
 
 
 def _rational_pair(x) -> dict:
@@ -126,9 +133,17 @@ def cmd_certify(args) -> int:
     any_falsified = False
     for m in ms:
         rep = min_over_symmetries_v0(m)
+        try:
+            results.append(rep.to_json_dict())
+        except ValueError:
+            # Python's limit on the digits of an int string.  min_norm_sq has
+            # the longest denominator of the report, about 7 digits per digit
+            # of an odd m and 3 of an even m, so it passes the limit first.
+            raise ValueError("m of %d digits: min_norm_sq has more than the %d digits Python "
+                             "writes as a decimal string"
+                             % (len(str(m)), sys.get_int_max_str_digits())) from None
         any_falsified = any_falsified or rep.verdict == FALSIFIES_A
         _progress("[certify] m=%d %s" % (m, rep.verdict))
-        results.append(rep.to_json_dict())
     _emit(_envelope("certify", _flags(args), {"results": results}), args.output)
     return EXIT_OK if any_falsified else EXIT_INCONCLUSIVE
 

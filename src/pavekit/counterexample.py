@@ -23,26 +23,26 @@ and, for 1 <= i <= 2m+1,
 Every entry is rational except on the d block, where entries are rational
 multiples of sqrt(rho), rho = (m-1)/(m+1).  The frame has few distinct
 columns: every a_j carries the same column, and so does every d_{ij} of one
-i.  The layout table ``_blocks(m)`` numbers the coordinate classes in the
-canonical order
+i.  A class is a set of coordinates that share a column; in the canonical
+coordinate order they are
 
-    a  (multiplicity m^2),
+    a  (m^2 coordinates),
     b_1, ..., b_{2m+1},  then the c_{ij} in lexicographic order  (1 each),
-    d_1, ..., d_{2m+1}  (multiplicity (m+1)^2 each),
+    d_1, ..., d_{2m+1}  ((m+1)^2 each, the d_{ij} in order of j),
 
 and a class column is written as two integer arrays R and D, one row per
 vector, with
 
     <v_k, e_x> = R[k, x] / (m^2 (m+1)) + D[k, x] * sqrt(rho) / m.
 
-Repeating each class column by its multiplicity gives the dense frame over
-the a|b|c|d coordinates in canonical order (the d_{ij} lexicographic).
 Read off the displays: R is m^2 on the a and b classes of v_0; on v_i, R is
 -1 on the a class, m^2 on b_i, +m on c_{ji} (j < i) and -m on c_{ij}
-(j > i), and D is 1 on d_i.  ``ExactFrame`` keeps the 2(2m+1)+1 a, b and d
-classes as dense columns and each c_{ij} as its edge (i, j), the two rows
-that carry -m and +m, so the exact checks cost in proportion to the class
-count; only ``float_frame`` writes the c block out densely.
+(j > i), and D is 1 on d_i.  ``build_frame`` is the one place that writes
+these entries.  It keeps the 2(2m+1)+1 a, b and d classes as dense columns
+and each c_{ij} as its edge (i, j), the two rows that carry -m and +m, so
+the exact checks cost in proportion to the class count.  ``float_frame``
+writes the edges out as columns between the b and d classes, rounds, and
+repeats each class by its size: the dense frame in canonical order.
 Orthonormality is decided in integer arithmetic.  The diagonal of p is
 constant on each block, the squared norm of one class column; over
 L^2 = (m^2 (m+1))^2 its numerators are
@@ -112,7 +112,6 @@ ANALYTIC_MIN_M = 6
 
 
 class _Block(NamedTuple):
-    start: int  # class number of the block's first class
     classes: int
     mult: int  # coordinates per class
 
@@ -123,15 +122,11 @@ class _Block(NamedTuple):
 
 def _blocks(m: int) -> tuple[int, dict[str, _Block]]:
     """m checked, and its coordinate layout: the a, b, c, d blocks in
-    canonical class order."""
+    canonical order."""
     m = _integer("m", m, MIN_M)
     w = 2 * m + 1
-    layout, start = {}, 0
-    for name, classes, mult in (("a", 1, m * m), ("b", w, 1), ("c", w * (w - 1) // 2, 1),
-                                ("d", w, (m + 1) ** 2)):
-        layout[name] = _Block(start, classes, mult)
-        start += classes
-    return m, layout
+    return m, {"a": _Block(1, m * m), "b": _Block(w, 1), "c": _Block(w * (w - 1) // 2, 1),
+               "d": _Block(w, (m + 1) ** 2)}
 
 
 def dimension(m: int) -> int:
@@ -199,78 +194,38 @@ class ExactFrame:
         return self.R.shape[0]
 
 
-def _class_of(layout: dict[str, _Block], index: BasisIndex) -> int:
-    # The class number of a coordinate; ValueError unless it is a BasisIndex
-    # naming one of the layout's coordinates.
+def _check_coordinate(layout: dict[str, _Block], index: BasisIndex) -> None:
+    # ValueError unless index is a BasisIndex naming one of the layout's
+    # coordinates.
     named = isinstance(index, BasisIndex) and isinstance(index.block, str)
     block = layout.get(index.block) if named else None
     if block is None or (index.j is None) != (index.block in "ab"):
         raise ValueError("%r is not a coordinate of this layout" % (index,))
     w = layout["b"].classes
     i = _integer("i", index.i, 1, {"a": block.mult, "c": w - 1}.get(index.block, w))
-    if index.block == "a":
-        return block.start
     if index.block == "c":
-        # the lexicographic rank of (i, j) among the pairs
-        j = _integer("j", index.j, i + 1, w)
-        return block.start + (i - 1) * w - i * (i - 1) // 2 + (j - i - 1)
-    if index.block == "d":
+        _integer("j", index.j, i + 1, w)
+    elif index.block == "d":
         _integer("j", index.j, 1, block.mult)
-    return block.start + i - 1
-
-
-def _pairs(w: int, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (i, j), 0 <= i < j < w, of the lexicographic ranks
-    ``ranks``: the inverse of the count ``_class_of`` makes."""
-    # The pairs of first index i start at rank i*w - i(i+1)/2, the count
-    # _class_of makes; a rank's first index is that of the last start at or
-    # below it.  Integers throughout, so exact at any w.
-    i = np.arange(w - 1)
-    starts = i * w - i * (i + 1) // 2
-    lo = np.searchsorted(starts, ranks, side="right") - 1
-    return lo, ranks - starts[lo] + lo + 1
-
-
-def _columns(m: int, layout: dict[str, _Block], classes: np.ndarray):
-    """R and D of the class columns numbered ``classes``, read off the
-    displays of v_0 and v_i in the module docstring."""
-    b, c, d_i = layout["b"], layout["c"], layout["d"]
-    cols = np.arange(classes.size)
-    r = np.zeros((b.classes + 1, classes.size), dtype=np.int64)
-    d = np.zeros_like(r)
-    # a_j: 1/(m+1) on v_0, -1/(m^2(m+1)) on every v_i
-    on = classes < b.start
-    r[0, on] = m * m
-    r[1:, on] = -1
-    # b_i: 1/(m+1) on v_0 and on v_i
-    on = (classes >= b.start) & (classes < c.start)
-    r[0, on] = m * m
-    r[1 + classes[on] - b.start, cols[on]] = m * m
-    # c_{ij}, i < j: +1/(m(m+1)) on v_j, -1/(m(m+1)) on v_i
-    on = (classes >= c.start) & (classes < d_i.start)
-    lo, hi = _pairs(b.classes, classes[on] - c.start)
-    r[1 + hi, cols[on]] = m
-    r[1 + lo, cols[on]] = -m
-    # d_{ij} (class d_i): (1/m) sqrt(rho) on v_i
-    on = classes >= d_i.start
-    d[1 + classes[on] - d_i.start, cols[on]] = 1
-    return r, d
-
-
-def _multiplicities(blocks) -> np.ndarray:
-    # Coordinates per class, class by class through the given blocks.
-    return np.repeat(np.array([b.mult for b in blocks], dtype=np.int64),
-                     [b.classes for b in blocks])
 
 
 def build_frame(m: int) -> ExactFrame:
-    """Construct the 2m+2 exact frame vectors spanning the projection."""
+    """Construct the 2m+2 exact frame vectors spanning the projection,
+    written straight from the displays of v_0 and v_i in the module
+    docstring: the a class, b_1..b_w and d_1..d_w (w = 2m+1) as columns,
+    and the c classes as the lexicographic pairs i < j."""
     m, layout = _blocks(m)
+    w = layout["b"].classes
+    i = np.arange(1, w + 1)
+    r = np.zeros((w + 1, 2 * w + 1), dtype=np.int64)
+    d = np.zeros_like(r)
+    r[0, : w + 1] = m * m  # v_0: 1/(m+1) on a and on every b
+    r[1:, 0] = -1  # v_i: -1/(m^2 (m+1)) on a,
+    r[i, i] = m * m  # 1/(m+1) on b_i,
+    d[i, w + i] = 1  # and (1/m) sqrt(rho) on d_i
     dense = [layout[k] for k in "abd"]
-    classes = np.concatenate([np.arange(b.start, b.start + b.classes) for b in dense])
-    mult = _multiplicities(dense)
-    r, d = _columns(m, layout, classes)
-    pairs = 1 + np.stack(_pairs(layout["b"].classes, np.arange(layout["c"].classes)))
+    mult = np.repeat(np.array([b.mult for b in dense], dtype=np.int64), [b.classes for b in dense])
+    pairs = 1 + np.stack(np.triu_indices(w, 1))
     for a in (r, d, mult, pairs):
         a.setflags(write=False)
     return ExactFrame(m=m, R=r, D=d, mult=mult, pairs=pairs)
@@ -350,7 +305,7 @@ def row_norm_sq(m: int, index: BasisIndex) -> Fraction:
     module docstring's table of numerators over L^2, so no column is built.
     """
     m, layout = _blocks(m)
-    _class_of(layout, index)  # refuses what names no coordinate of the layout
+    _check_coordinate(layout, index)
     return Fraction(_diagonal(m)[index.block], (m * m * (m + 1)) ** 2)
 
 
@@ -547,14 +502,22 @@ def min_over_symmetries_v0(m: int) -> CertificateReport:
 
 
 def float_frame(m: int) -> OrthonormalFrame:
-    """The exact frame rounded to floats, as a dense (2m+2) x dim frame.
+    """``build_frame(m)`` rounded to floats, as a dense (2m+2) x dim frame in
+    the canonical coordinate order.
 
     A rational entry is R / L, the correctly rounded quotient of two exactly
     represented integers; every d entry is the float (1/m) * sqrt(rho).
     """
-    m, layout = _blocks(m)
-    mult = _multiplicities(layout.values())
-    r, d = _columns(m, layout, np.arange(mult.size))
+    f = build_frame(m)
+    m, edges = f.m, np.arange(f.pairs.shape[1])
+    split = 2 * m + 2  # the a class and the b classes come before c
+    # each c edge as a column, -m on row i and +m on row j
+    c = np.zeros((f.rank, edges.size), dtype=np.int64)
+    c[f.pairs[0], edges] = -m
+    c[f.pairs[1], edges] = m
+    r = np.concatenate([f.R[:, :split], c, f.R[:, split:]], axis=1)
+    d = np.concatenate([f.D[:, :split], np.zeros_like(c), f.D[:, split:]], axis=1)
+    mult = np.concatenate([f.mult[:split], np.ones(edges.size, dtype=np.int64), f.mult[split:]])
     radical = (1.0 / m) * math.sqrt((m - 1) / (m + 1))
     columns = r / (m * m * (m + 1)) + d * radical
     return OrthonormalFrame(np.repeat(columns, mult, axis=1))

@@ -104,6 +104,34 @@ def test_certify_at_sizes_no_frame_could_have(capsys):
     proc = run_main(capsys, "certify", "--m", "1" + "0" * 4400)
     assert proc.returncode == 1 and proc.stdout == ""
     assert "error:" in proc.stderr and "4300 digits" in proc.stderr
+    # min_norm_sq reaches that limit first: at an odd m of 701 digits, and
+    # an even m of 1501; refused before any progress line
+    for m in (10**700 + 1, 10**1500):
+        proc = run_main(capsys, "certify", "--m", str(m))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("error: m of %d digits: min_norm_sq has more than the 4300 "
+                               "digits Python writes as a decimal string\n" % len(str(m)))
+
+
+def test_certify_refuses_a_range_past_the_cap_up_front(capsys):
+    # a range of 10^15 values of m would first allocate their list, then a
+    # report of about 3.4 KB per m: refused before either
+    tracemalloc.start()
+    try:
+        code = cli.main(["certify", "--m", "2..1000000000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err == ("error: m range '2..1000000000000000' has 999999999999999 values; "
+                       "certify takes at most %d per run\n" % cli.MAX_CERTIFY_MS)
+    assert peak < 1 << 20
+    # the cap itself is allowed, one more value is not
+    top = 2 + cli.MAX_CERTIFY_MS
+    assert run_main(capsys, "certify", "--m", "2..%d" % (top - 1)).returncode == 0
+    proc = run_main(capsys, "certify", "--m", "2..%d" % top)
+    assert proc.returncode == 1 and proc.stdout == "" and "at most" in proc.stderr
 
 
 def test_certify_range_with_falsification(capsys):

@@ -139,23 +139,19 @@ def test_frame_entries_match_the_displays():
         assert not a.flags.writeable
 
 
-def test_pairs_match_the_pair_table():
-    for w in range(3, 402):
-        lo, hi = counterexample._pairs(w, np.arange(w * (w - 1) // 2))
-        want_lo, want_hi = np.triu_indices(w, 1)
-        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi), w
-    # and against the class numbers _class_of counts, at every c coordinate
-    for m in range(2, 7):
-        _, layout = counterexample._blocks(m)
-        w, start = 2 * m + 1, layout["c"].start
-        for i in range(1, w + 1):
-            for j in range(i + 1, w + 1):
-                rank = counterexample._class_of(layout, BasisIndex.c(i, j)) - start
-                lo, hi = counterexample._pairs(w, np.array([rank]))
-                assert (lo[0] + 1, hi[0] + 1) == (i, j), (m, i, j)
-
-
 def test_float_frame_rounds_each_exact_entry():
+    # every entry, in canonical order, against the displays: the correctly
+    # rounded rational part, and (1/m) sqrt((m-1)/(m+1)) on d
+    for m in range(2, 7):
+        rows = float_frame(m).rows
+        coords = coordinates(m)
+        assert rows.shape == (2 * m + 2, len(coords))
+        radical = (1 / m) * math.sqrt((m - 1) / (m + 1))
+        for k in range(2 * m + 2):
+            for x, ix in enumerate(coords):
+                rational, root = displayed_entry(m, k, ix)
+                want = radical if root else float(Fraction(rational))
+                assert rows[k, x] == want, (m, k, ix)
     m = 6
     rows = float_frame(m).rows
     at = {ix: x for x, ix in enumerate(coordinates(m))}
@@ -259,12 +255,10 @@ def test_row_norm_sq_refuses_what_is_no_basis_index():
 
 def test_row_norms_follow_the_dense_frame_at_every_coordinate():
     # every coordinate, in canonical order, against its column of the
-    # repeated R and D; the class numbers are pinned to the same order
+    # repeated R and D
     for m in range(2, 6):
         r, d, mult = dense_classes(build_frame(m))
         r, d = np.repeat(r, mult, axis=1), np.repeat(d, mult, axis=1)
-        classes = np.repeat(np.arange(mult.size), mult)
-        _, layout = counterexample._blocks(m)
         rho = Fraction(m - 1, m + 1)
         for x, ix in enumerate(coordinates(m)):
             rational = [Fraction(int(v), m * m * (m + 1)) for v in r[:, x]]
@@ -272,32 +266,37 @@ def test_row_norms_follow_the_dense_frame_at_every_coordinate():
             assert sum(a * b for a, b in zip(rational, radical)) == 0
             want = sum(a * a for a in rational) + rho * sum(b * b for b in radical)
             assert row_norm_sq(m, ix) == want, (m, ix)
-            assert counterexample._class_of(layout, ix) == classes[x], (m, ix)
 
 
-def column_norms_sq(m, layout, classes):
-    # Squared norms of the class columns built by _columns, as integer
-    # numerators over L^2 = (m^2 (m+1))^2: the sum of R's squares plus
-    # (m-1) m^2 (m+1) times the sum of D's, in Python ints.  The library
-    # computed row norms this way before it read them from a table.
-    r, d = counterexample._columns(m, layout, np.array(classes))
+def column_norms_sq(m, r, d):
+    # Squared norms of the columns of R and D, as integer numerators over
+    # L^2 = (m^2 (m+1))^2: the sum of R's squares plus (m-1) m^2 (m+1) times
+    # the sum of D's, in Python ints.  The library computed row norms this
+    # way before it read them from a table.
     weight = (m - 1) * m * m * (m + 1)
     return [sum(map(operator.mul, rc, rc)) + weight * sum(map(operator.mul, dc, dc))
             for rc, dc in zip(r.T.tolist(), d.T.tolist())]
 
 
 def test_diagonal_table_against_the_built_columns():
-    # the first and the last class of every block, built as columns
+    # the first and the last class of every block, as built by build_frame:
+    # the dense a, b and d columns from R and D, the c classes from the
+    # first and the last edge of pairs
     for m in range(2, 401):
-        _, layout = counterexample._blocks(m)
-        firsts = column_norms_sq(m, layout, [b.start for b in layout.values()])
-        lasts = column_norms_sq(m, layout, [b.start + b.classes - 1 for b in layout.values()])
+        f = build_frame(m)
+        w = 2 * m + 1
+        dense = {"a": [0, 0], "b": [1, w], "d": [w + 1, 2 * w]}
+        c = np.zeros((f.rank, 2), dtype=np.int64)
+        c[f.pairs[0, [0, -1]], [0, 1]] = -m
+        c[f.pairs[1, [0, -1]], [0, 1]] = m
+        norms = {k: column_norms_sq(m, f.R[:, cols], f.D[:, cols]) for k, cols in dense.items()}
+        norms["c"] = column_norms_sq(m, c, np.zeros_like(c))
         table = counterexample._diagonal(m)
-        assert firsts == lasts == [table[k] for k in layout], m
+        assert norms == {k: [v, v] for k, v in table.items()}, m
         scale = (m * m * (m + 1)) ** 2
         for k, ix in counterexample.BLOCK_REPRESENTATIVES.items():
             assert row_norm_sq(m, ix) == Fraction(table[k], scale), (m, k)
-        assert delta_p_exact(m) == Fraction(max(firsts), scale), m
+        assert delta_p_exact(m) == Fraction(max(max(v) for v in norms.values()), scale), m
 
 
 def test_diagonal_costs_no_memory_in_m():
