@@ -180,7 +180,8 @@ class ExactFrame:
     array of frame rows: c class t is -1/(m(m+1)) on v_i and +1/(m(m+1)) on
     v_j, (i, j) = pairs[:, t], and 0 elsewhere; on R's scale, -m and +m.
     All four are int64 arrays, read-only when they come from
-    ``build_frame``.
+    ``build_frame``, the frame's one constructor (``float_frame`` rounds
+    its output).
     """
 
     m: int
@@ -515,11 +516,10 @@ def float_frame(m: int) -> OrthonormalFrame:
     c = np.zeros((f.rank, edges.size), dtype=np.int64)
     c[f.pairs[0], edges] = -m
     c[f.pairs[1], edges] = m
-    r = np.concatenate([f.R[:, :split], c, f.R[:, split:]], axis=1)
-    d = np.concatenate([f.D[:, :split], np.zeros_like(c), f.D[:, split:]], axis=1)
+    scale, radical = m * m * (m + 1), (1.0 / m) * math.sqrt((m - 1) / (m + 1))
+    dense = f.R / scale + f.D * radical
+    columns = np.concatenate([dense[:, :split], c / scale, dense[:, split:]], axis=1)
     mult = np.concatenate([f.mult[:split], np.ones(edges.size, dtype=np.int64), f.mult[split:]])
-    radical = (1.0 / m) * math.sqrt((m - 1) / (m + 1))
-    columns = r / (m * m * (m + 1)) + d * radical
     return OrthonormalFrame(np.repeat(columns, mult, axis=1))
 
 
