@@ -4,8 +4,8 @@ Reports go to stdout (or --output) as deterministic JSON, or CSV for scan;
 progress lines go to stderr.  Every report embeds the tool version and the
 full flag set, so a run is replayable from its own output.
 
-Exit codes: 0 success / certificate found, 1 usage or cap error, 2 internal
-verification failure, 3 certification inconclusive.
+Exit codes: 0 success / certificate found, 1 usage, cap or out-of-memory
+error, 2 internal verification failure, 3 certification inconclusive.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from . import __version__
 from .counterexample import (
     BLOCK_REPRESENTATIVES,
     FALSIFIES_A,
-    _gram_scale,
     block_sizes,
     build_frame,
     delta_p_exact,
@@ -35,6 +34,7 @@ from .linalg import _integer, random_projection
 from .paving import (
     BruteForceCapError,
     DEFAULT_MAX_N,
+    SCAN_MODES,
     ScanConfig,
     _check_cap,
     _walked,
@@ -52,13 +52,6 @@ EXIT_INCONCLUSIVE = 3
 # The most values of m one certify run takes: its report holds about 3.4 KB
 # per m, so the cap keeps a run near 34 MB.
 MAX_CERTIFY_MS = 10_000
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the contract here is 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
 def _progress(msg: str) -> None:
@@ -104,7 +97,6 @@ def _rational_pair(x) -> dict:
 
 def cmd_construct(args) -> int:
     m = args.m
-    _gram_scale(m)  # refuses m > 1289 before the O(m^2) build
     _progress("[construct] building exact frame for m=%d" % m)
     frame = build_frame(m)
     ok = verify_orthonormal(frame)
@@ -200,7 +192,7 @@ def cmd_scan(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pavekit", description=__doc__)
+    parser = argparse.ArgumentParser(prog="pavekit", description=__doc__)
     parser.add_argument("--version", action="version", version="pavekit %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -238,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--count", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--mode", choices=["conjectureA", "balance"], default="conjectureA")
+    sp.add_argument("--mode", choices=SCAN_MODES, default="conjectureA")
     sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--epsilon", type=float, default=None)
     sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
@@ -259,16 +251,17 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse exits on usage errors, -h and --version; in-process callers
-        # get the code back like every other outcome.
-        return exc.code
+        # argparse exits 2 on a usage error and 0 after -h and --version;
+        # in-process callers get the code back like every other outcome.
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except BruteForceCapError as exc:
         _progress("error: %s; raise --max-n to override" % exc)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        _progress("error: %s" % exc)
+    except (ValueError, OSError, MemoryError) as exc:
+        # A bare MemoryError has no message of its own.
+        _progress("error: %s" % (str(exc) or type(exc).__name__))
         return EXIT_USAGE
 
 

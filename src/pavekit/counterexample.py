@@ -214,7 +214,9 @@ def build_frame(m: int) -> ExactFrame:
     """Construct the 2m+2 exact frame vectors spanning the projection,
     written straight from the displays of v_0 and v_i in the module
     docstring: the a class, b_1..b_w and d_1..d_w (w = 2m+1) as columns,
-    and the c classes as the lexicographic pairs i < j."""
+    and the c classes as the lexicographic pairs i < j.  m > 1289, past
+    ``verify_orthonormal``'s exact range, is refused before any allocation."""
+    _gram_scale(m)
     m, layout = _blocks(m)
     w = layout["b"].classes
     i = np.arange(1, w + 1)
@@ -240,7 +242,7 @@ def _gram_scale(m: int) -> int:
     Cauchy-Schwarz each weighted sum is at most L^2 = m^4 (m+1)^2, the
     weighted square sum of v_0's R row; D's rows weigh (m+1)^2, so the
     scaled D sum stays below L^2 too.  2 L^2 < 2^63 up to m = 1289; larger m
-    are refused, in O(1) memory, before a frame is built.
+    are refused, in O(1) memory, by ``build_frame`` before it allocates.
     """
     m = _integer("m", m, MIN_M)
     scale = m * m * (m + 1)

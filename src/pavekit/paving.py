@@ -85,8 +85,8 @@ def _walked(n: int, r: int) -> bool:
     return 1 <= r and 2 * r <= n
 
 
-def _min_over_signs(n: int, max_n: int, norms_of, chunk: int) -> tuple[float, Symmetry]:
-    """Exhaustive minimum of ``norms_of`` over the 2^(n-1) sign vectors.
+def _min_over_signs(n: int, norms_of, chunk: int) -> tuple[float, Symmetry]:
+    """Exhaustive minimum of ``norms_of`` over the 2^(n-1) sign vectors of a capped n.
 
     The first sign is pinned to +1 (s and -s give the same norm).  The sign
     vectors are visited in lexicographic order (-1 before +1), ``chunk``
@@ -96,7 +96,6 @@ def _min_over_signs(n: int, max_n: int, norms_of, chunk: int) -> tuple[float, Sy
     among the sign vectors whose norm is within TIE_TOL of it, the
     lexicographically smallest.
     """
-    _check_cap(n, max_n)
     count = 1 << (n - 1)
     # Pattern t carries sign j+1 in bit n-2-j, set for +1: counting order
     # is lexicographic order with -1 before +1.
@@ -228,7 +227,7 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
             todo = np.flatnonzero(bound <= best + TIE_TOL)
         return norms
 
-    return _min_over_signs(n, max_n, norms_of, chunk)
+    return _min_over_signs(n, norms_of, chunk)
 
 
 def brute_force_min_vector(
@@ -241,9 +240,10 @@ def brute_force_min_vector(
     bool or string entry raises ``ValueError``.
     """
     pv = p.apply(v)
+    _check_cap(p.n, max_n)
     f = p.frame.rows
     return _min_over_signs(
-        p.n, max_n, lambda rows, best: np.linalg.norm((rows * pv) @ f.T, axis=1), SIGN_CHUNK
+        p.n, lambda rows, best: np.linalg.norm((rows * pv) @ f.T, axis=1), SIGN_CHUNK
     )
 
 

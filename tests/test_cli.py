@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from pavekit import __version__, cli
+from pavekit import __version__, cli, paving
 
 
 def run_cli(*args):
@@ -65,6 +65,23 @@ def test_construct_usage_error_on_small_m(capsys):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "m must be" in proc.stderr
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 7.45 GiB for an array"),
+     "error: Unable to allocate 7.45 GiB for an array\n"),
+    (MemoryError(), "error: MemoryError\n"),
+])
+def test_out_of_memory_exits_1_with_an_error_line(error, line, capsys, monkeypatch):
+    def draw(n, r, seed):
+        raise error
+
+    monkeypatch.setattr(cli, "random_projection", draw)
+    for args in (["balance", "--n", "1000000000", "--rank", "1", "--seed", "1"],
+                 ["bruteforce", "--n", "20", "--rank", "10", "--seed", "1"]):
+        proc = run_main(capsys, *args)
+        assert proc.returncode == 1
+        assert proc.stdout == "" and proc.stderr == line
 
 
 def test_construct_refuses_m_past_the_int64_bound_before_building(capsys):
@@ -320,6 +337,17 @@ def test_usage_errors_help_and_version_return_their_code_in_process(capsys):
     proc = run_main(capsys, "certify", "-h")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: pavekit certify")
+    # main maps argparse's own exit 2, which the bare parser keeps
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["frobnicate"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_scan_modes_are_the_paving_modes():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    mode = next(a for a in sub.choices["scan"]._actions if a.dest == "mode")
+    assert mode.choices == paving.SCAN_MODES
 
 
 def scrub_output(text):

@@ -185,10 +185,25 @@ def test_large_frames_verify_in_bounded_memory():
     empty = np.zeros((0, 0), dtype=np.int64)
     with pytest.raises(ValueError):
         verify_orthonormal(ExactFrame(m=1290, R=empty, D=empty, mult=empty, pairs=empty))
-    # the bound alone, which construct checks before it builds: 2 L^2 < 2^63
+    # the bound alone, which build_frame checks before it allocates: 2 L^2 < 2^63
     assert counterexample._gram_scale(1289) == 1289**2 * 1290
     with pytest.raises(ValueError, match="exact up to m = 1289, got m=1290"):
         counterexample._gram_scale(1290)
+
+
+@pytest.mark.parametrize("build, m", [(build_frame, 10**6), (float_frame, 1290),
+                                      (float_projection, 1290)])
+def test_frames_past_the_int64_bound_are_refused_before_they_are_built(build, m):
+    # at m = 10^6 build_frame's R alone would take 58 TiB; the float frame
+    # at m = 1290 about 66 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exact up to m = 1289, got m=%d" % m):
+            build(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
 
 
 def test_perturbed_frame_fails_verification():
