@@ -422,7 +422,7 @@ def branch_bound_overall(m: int) -> float:
     (delta_p/4) * min(m^2 - 4m - 2, sqrt(2m+1)), which is
     (delta_p/4) * sqrt(2m+1) for every m >= 6."""
     m = _integer("m", m, ANALYTIC_MIN_M)
-    delta = float(Fraction(2, (m + 1) ** 2))
+    delta = float(delta_p_exact(m))
     # delta underflows to 0.0 past m ~ 1e162, before sqrt(2m+1) could overflow
     return delta / 4.0 * math.sqrt(2 * m + 1) if delta else 0.0
 

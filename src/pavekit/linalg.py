@@ -128,7 +128,10 @@ class OrthonormalFrame:
             raise ValueError("frame entries must be finite")
         r = a.shape[0]
         if r:
-            g = a @ a.T
+            # A row too long to square makes an inf in the Gram matrix, which
+            # the check below refuses.
+            with np.errstate(over="ignore"):
+                g = a @ a.T
             if float(np.abs(g - np.eye(r)).max()) > FRAME_GRAM_TOL:
                 raise ValueError("rows are not orthonormal within %g" % FRAME_GRAM_TOL)
         a.setflags(write=False)

@@ -37,6 +37,7 @@ from .linalg import (
     Vector,
     _integer,
     _real,
+    _real_array,
     compressions,
     delta_p_numeric,
     operator_norm,
@@ -94,7 +95,7 @@ def _min_over_signs(n: int, norms_of, chunk: int) -> tuple[float, Symmetry]:
     norms, given the smallest norm so far, and may give ``inf`` to a row
     whose norm is above best + TIE_TOL.  Returns the smallest norm and,
     among the sign vectors whose norm is within TIE_TOL of it, the
-    lexicographically smallest.
+    lexicographically smallest: ``+-...-`` if every norm is inf.
     """
     count = 1 << (n - 1)
     # Pattern t carries sign j+1 in bit n-2-j, set for +1: counting order
@@ -115,6 +116,8 @@ def _min_over_signs(n: int, norms_of, chunk: int) -> tuple[float, Symmetry]:
         ties += [(float(norms[i]), rows[i]) for i in np.flatnonzero(norms < before)]
         best = min(best, float(norms.min()))
         ties = [(x, s) for x, s in ties if x <= best + TIE_TOL]
+    if not ties:  # every norm is inf, so all of them tie
+        return best, Symmetry([1] + [-1] * (n - 1))
     return best, Symmetry(ties[0][1])
 
 
@@ -238,13 +241,22 @@ def brute_force_min_vector(
     Vectorized over each chunk of sign vectors, with the search, memory
     bound and tie rule of ``brute_force_min``.  A v with a NaN, infinite,
     bool or string entry raises ``ValueError``.
+
+    The norms are taken of v scaled by the power of two 2^-e that brings
+    max|v| into [1/2, 1), far from where their squares overflow or
+    underflow, and scaled back by 2^e before the tie rule.  The scaling is
+    exact, so a norm that the unscaled sums gave without overflow or
+    underflow keeps its bits.
     """
-    pv = p.apply(v)
+    v = _real_array("v", v)
+    e = math.frexp(float(np.abs(v).max(initial=0.0)))[1]
+    pv = p.apply(np.ldexp(v, -e))
     _check_cap(p.n, max_n)
     f = p.frame.rows
-    return _min_over_signs(
-        p.n, lambda rows, best: np.linalg.norm((rows * pv) @ f.T, axis=1), SIGN_CHUNK
-    )
+    with np.errstate(over="ignore"):  # a norm past the largest float is inf
+        return _min_over_signs(
+            p.n, lambda rows, best: np.ldexp(np.linalg.norm((rows * pv) @ f.T, axis=1), e),
+            SIGN_CHUNK)
 
 
 @dataclass(frozen=True)

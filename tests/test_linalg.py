@@ -87,6 +87,13 @@ def test_frame_rejects_non_orthonormal_rows():
     assert f.rank == 0 and f.n == 4
 
 
+@pytest.mark.parametrize("rows", [[[1e200, 0.0]], [[1e200, 1e200], [1e200, -1e200]]])
+def test_frame_with_rows_whose_gram_overflows_is_not_orthonormal(rows):
+    # the Gram matrix overflows to inf; no overflow warning comes first
+    with pytest.raises(ValueError, match="not orthonormal"):
+        OrthonormalFrame(rows)
+
+
 def test_symmetry_validation():
     s = Symmetry([1, -1, 1])
     assert s.n == 3

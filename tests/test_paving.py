@@ -399,6 +399,23 @@ def test_brute_force_min_vector_rejects_non_finite_entries(bad):
         brute_force_min_vector(p, [bad, 1, 1, 1, 1, 1])
 
 
+def test_brute_force_min_vector_scales_past_float_range():
+    # unscaled, every norm at 2^520 overflows and at 2^-600 underflows to 0
+    p = random_projection(6, 3, 1)
+    v = np.random.Generator(np.random.PCG64(8)).standard_normal(6)
+    norm, signs = brute_force_min_vector(p, v)
+    assert 0.0 < norm < 1.0
+    for k in (-600, -520, 0, 520, 1000):
+        got_norm, got = brute_force_min_vector(p, np.ldexp(v, k))
+        assert got_norm == math.ldexp(norm, k)
+        if k >= 0:  # below, TIE_TOL is coarser than the norms and all of them tie
+            assert got.signs.tolist() == signs.signs.tolist()
+    # every norm past the largest float: all tie at inf
+    got_norm, got = brute_force_min_vector(Projection(OrthonormalFrame(np.eye(4))),
+                                           np.full(4, 1.5e308))
+    assert got_norm == math.inf and _signs_str(got) == "+---"
+
+
 def unchunked_min_vector(p, v):
     # every sign vector at once, first sign pinned +1, in lexicographic order
     # (-1 before +1); the first within TIE_TOL of the minimum wins
