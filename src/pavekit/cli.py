@@ -1,8 +1,8 @@
 """Command-line front door: construct, certify, bruteforce, balance, scan.
 
-Reports go to stdout (or --output) as deterministic JSON, or CSV for scan;
-progress lines go to stderr.  Every report embeds the tool version and the
-full flag set, so a run is replayable from its own output.
+Reports go to stdout (or --output) as one line of sorted-key JSON, or CSV
+for scan; progress lines go to stderr.  Every report embeds the tool
+version and the full flag set, so a run is replayable from its own output.
 
 Exit codes: 0 success / certificate found, 1 usage, cap or out-of-memory
 error, 2 internal verification failure, 3 certification inconclusive.
@@ -49,8 +49,8 @@ EXIT_USAGE = 1
 EXIT_INTERNAL = 2
 EXIT_INCONCLUSIVE = 3
 
-# The most values of m one certify run takes: its report holds about 3.4 KB
-# per m, so the cap keeps a run near 34 MB.
+# The most values of m one certify run takes: its report holds about 1.8 KB
+# per m at its peak, so the cap keeps a run near 18 MB.
 MAX_CERTIFY_MS = 10_000
 
 
@@ -66,15 +66,15 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _flags(args) -> dict:
+def _header(args) -> dict:
     # Every parsed option, so a report replays from its own output.
-    return {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    return {"tool": "pavekit", "version": __version__, "command": args.command, "flags": flags}
 
 
-def _envelope(command: str, flags: dict, payload: dict) -> str:
-    doc = {"tool": "pavekit", "version": __version__, "command": command, "flags": flags}
-    doc.update(payload)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _envelope(args, payload: dict) -> str:
+    # The CSV header's rule: without indent, json.dumps runs its C encoder.
+    return json.dumps({**_header(args), **payload}, sort_keys=True) + "\n"
 
 
 def _parse_m_range(text: str) -> range:
@@ -111,7 +111,7 @@ def cmd_construct(args) -> int:
             k: _rational_pair(row_norm_sq(m, ix)) for k, ix in BLOCK_REPRESENTATIVES.items()
         },
     }
-    _emit(_envelope("construct", _flags(args), {"report": report}), args.output)
+    _emit(_envelope(args, {"report": report}), args.output)
     if not ok:
         _progress("[construct] exact orthonormality FAILED (implementation fault)")
         return EXIT_INTERNAL
@@ -136,7 +136,7 @@ def cmd_certify(args) -> int:
                              % (len(str(m)), sys.get_int_max_str_digits())) from None
         any_falsified = any_falsified or rep.verdict == FALSIFIES_A
         _progress("[certify] m=%d %s" % (m, rep.verdict))
-    _emit(_envelope("certify", _flags(args), {"results": results}), args.output)
+    _emit(_envelope(args, {"results": results}), args.output)
     return EXIT_OK if any_falsified else EXIT_INCONCLUSIVE
 
 
@@ -151,7 +151,7 @@ def cmd_bruteforce(args) -> int:
         _progress("[bruteforce] no walk: the dimension count decides rank %d of n=%d"
                   % (args.rank, args.n))
     record = conjectureA_test(p, seed=args.seed, max_n=args.max_n)
-    _emit(_envelope("bruteforce", _flags(args), {"record": record.to_json_dict()}), args.output)
+    _emit(_envelope(args, {"record": record.to_json_dict()}), args.output)
     return EXIT_OK
 
 
@@ -162,9 +162,8 @@ def cmd_balance(args) -> int:
     )
     v = vec_rng.standard_normal(args.n)
     result = single_vector_symmetry(p, v)
-    report = result.to_json_dict()
-    report.update({"n": args.n, "rank": args.rank, "seed": args.seed})
-    _emit(_envelope("balance", _flags(args), {"report": report}), args.output)
+    report = {**result.to_json_dict(), "n": args.n, "rank": args.rank, "seed": args.seed}
+    _emit(_envelope(args, {"report": report}), args.output)
     return EXIT_OK
 
 
@@ -179,14 +178,12 @@ def cmd_scan(args) -> int:
         epsilon=args.epsilon,
         max_n=args.max_n,
     )
-    flags = _flags(args)
     _progress("[scan] %d instances of n=%d rank=%d" % (args.count, args.n, args.rank))
     records = scan(config, workers=args.workers)
     if args.format == "csv":
-        header = {"tool": "pavekit", "version": __version__, "command": "scan", "flags": flags}
-        text = records_to_csv(records, header=header)
+        text = records_to_csv(records, header=_header(args))
     else:
-        text = _envelope("scan", flags, {"records": [r.to_json_dict() for r in records]})
+        text = _envelope(args, {"records": [r.to_json_dict() for r in records]})
     _emit(text, args.output)
     return EXIT_OK
 

@@ -25,7 +25,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -93,9 +93,9 @@ def _min_over_signs(n: int, norms_of, chunk: int) -> tuple[float, Symmetry]:
     vectors are visited in lexicographic order (-1 before +1), ``chunk``
     float rows at a time; ``norms_of(rows, best)`` maps each chunk to its
     norms, given the smallest norm so far, and may give ``inf`` to a row
-    whose norm is above best + TIE_TOL.  Returns the smallest norm and,
-    among the sign vectors whose norm is within TIE_TOL of it, the
-    lexicographically smallest: ``+-...-`` if every norm is inf.
+    whose norm is above best + TIE_TOL, though not to every row.  Returns
+    the smallest norm and, among the sign vectors whose norm is within
+    TIE_TOL of it, the lexicographically smallest.
     """
     count = 1 << (n - 1)
     # Pattern t carries sign j+1 in bit n-2-j, set for +1: counting order
@@ -116,8 +116,6 @@ def _min_over_signs(n: int, norms_of, chunk: int) -> tuple[float, Symmetry]:
         ties += [(float(norms[i]), rows[i]) for i in np.flatnonzero(norms < before)]
         best = min(best, float(norms.min()))
         ties = [(x, s) for x, s in ties if x <= best + TIE_TOL]
-    if not ties:  # every norm is inf, so all of them tie
-        return best, Symmetry([1] + [-1] * (n - 1))
     return best, Symmetry(ties[0][1])
 
 
@@ -244,19 +242,19 @@ def brute_force_min_vector(
 
     The norms are taken of v scaled by the power of two 2^-e that brings
     max|v| into [1/2, 1), far from where their squares overflow or
-    underflow, and scaled back by 2^e before the tie rule.  The scaling is
-    exact, so a norm that the unscaled sums gave without overflow or
-    underflow keeps its bits.
+    underflow, and the tie rule is applied to them there, so the argmin of
+    v and of 2^k v are the same.  Only the minimum is scaled back by 2^e,
+    which is exact short of overflow to inf.
     """
     v = _real_array("v", v)
     e = math.frexp(float(np.abs(v).max(initial=0.0)))[1]
     pv = p.apply(np.ldexp(v, -e))
     _check_cap(p.n, max_n)
     f = p.frame.rows
-    with np.errstate(over="ignore"):  # a norm past the largest float is inf
-        return _min_over_signs(
-            p.n, lambda rows, best: np.ldexp(np.linalg.norm((rows * pv) @ f.T, axis=1), e),
-            SIGN_CHUNK)
+    best, argmin = _min_over_signs(
+        p.n, lambda rows, best: np.linalg.norm((rows * pv) @ f.T, axis=1), SIGN_CHUNK)
+    with np.errstate(over="ignore"):  # a minimum past the largest float is inf
+        return float(np.ldexp(best, e)), argmin
 
 
 @dataclass(frozen=True)
@@ -280,7 +278,9 @@ class ExperimentRecord:
     runtime_ms: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        # A fresh list per (flat) tuple: the copy asdict makes, without its deep walk.
+        return {k: list(v) if isinstance(v := getattr(self, k), tuple) else v
+                for k in CSV_COLUMNS}
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
@@ -329,7 +329,7 @@ def conjectureA_test(
         rank=p.rank,
         delta_p=delta,
         min_psp_norm=min_norm,
-        argmin_signs=tuple(int(s) for s in argmin.signs),
+        argmin_signs=tuple(argmin.signs.tolist()),
         two_delta_p=2.0 * delta,
         conjectureA_satisfied=bool(min_norm <= 2.0 * delta + CONJECTURE_TOL),
         runtime_ms=(time.perf_counter() - t0) * 1000.0,
@@ -375,6 +375,7 @@ class ScanConfig:
 def _scan_instance(config: ScanConfig, i: int) -> ExperimentRecord:
     seed = config.seed + i
     t0 = time.perf_counter()
+    late = {}  # the fields set after the record is made, in its one replace
     try:
         p = random_projection(config.n, config.rank, seed)
         if config.mode == "conjectureA" or config.n <= config.max_n:
@@ -383,7 +384,7 @@ def _scan_instance(config: ScanConfig, i: int) -> ExperimentRecord:
                 # Conjecture B: delta_p < gamma implies some symmetry has
                 # ||psp|| < 1 - epsilon; vacuously true when delta_p >= gamma.
                 b_holds = rec.delta_p >= config.gamma or rec.min_psp_norm < 1 - config.epsilon
-                rec = replace(rec, conjectureB_holds=bool(b_holds))
+                late["conjectureB_holds"] = bool(b_holds)
         else:
             # A balance record past the cap: no walk, so no minimum, argmin or
             # verdicts.
@@ -392,17 +393,16 @@ def _scan_instance(config: ScanConfig, i: int) -> ExperimentRecord:
                 seed=seed, n=p.n, rank=p.rank, delta_p=delta, two_delta_p=2.0 * delta)
         if config.mode == "balance":
             diag = p.diagonal()
-            single = tuple(
+            late["single_vector_norms"] = tuple(
                 None
                 if diag[k] <= DEGENERATE_TOL**2
                 else single_vector_symmetry(p, np.eye(1, config.n, k)[0]).achieved_norm
                 for k in range(config.n)
             )
-            rec = replace(rec, single_vector_norms=single)
     except Exception as exc:  # per-instance failures land in the record
-        error = "%s: %s" % (type(exc).__name__, exc)
-        rec = ExperimentRecord(seed=seed, n=config.n, rank=config.rank, error=error)
-    return replace(rec, runtime_ms=(time.perf_counter() - t0) * 1000.0)
+        rec = ExperimentRecord(seed=seed, n=config.n, rank=config.rank)
+        late = {"error": "%s: %s" % (type(exc).__name__, exc)}
+    return replace(rec, runtime_ms=(time.perf_counter() - t0) * 1000.0, **late)
 
 
 def scan(config: ScanConfig, workers: int = 1) -> list[ExperimentRecord]:
@@ -418,7 +418,9 @@ def scan(config: ScanConfig, workers: int = 1) -> list[ExperimentRecord]:
     """
     if config.mode == "conjectureA":
         _check_cap(config.n, config.max_n)
-    workers = min(_integer("workers", workers, 1), os.cpu_count() or 1, config.count)
+    workers = min(_integer("workers", workers, 1), config.count)
+    if workers > 1:  # os.cpu_count() reads /sys on every call
+        workers = min(workers, os.cpu_count() or 1)
     run = functools.partial(_scan_instance, config)
     if workers <= 1:
         return [run(i) for i in range(config.count)]

@@ -234,7 +234,7 @@ class SingleVectorResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "signs": [int(s) for s in self.signs.signs],
+            "signs": self.signs.signs.tolist(),
             "achieved_norm": self.achieved_norm,
             "bound": self.bound,
             "delta_p": self.delta_p,

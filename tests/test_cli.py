@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import pytest
 
@@ -285,6 +286,33 @@ def test_scan_output_file(tmp_path, capsys):
     assert proc.stdout == ""
     doc = json.loads(out.read_text())
     assert len(doc["records"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("construct", "--m", "6"),
+    ("certify", "--m", "6..8"),
+    ("bruteforce", "--n", "6", "--rank", "3", "--seed", "1"),
+    ("balance", "--n", "8", "--rank", "4", "--seed", "1"),
+    ("scan", "--n", "6", "--rank", "3", "--count", "2", "--seed", "1",
+     "--gamma", "0.75", "--epsilon", "0.1"),
+    # rank 0: every basis vector projects to 0, so every single-vector norm is null
+    ("scan", "--n", "4", "--rank", "0", "--count", "2", "--seed", "1", "--mode", "balance"),
+])
+def test_json_reports_are_one_line_with_sorted_keys(args, tmp_path, capsys, monkeypatch):
+    # runtime_ms reads 0, so two runs of one command give the same bytes
+    monkeypatch.setattr(paving, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    proc = run_main(capsys, *args)
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert proc.stdout == json.dumps(doc, sort_keys=True) + "\n"
+    if "--mode" in args:
+        assert all(r["single_vector_norms"] == [None] * 4 for r in doc["records"])
+    out = tmp_path / "report.json"
+    proc = run_main(capsys, *args, "--output", str(out))
+    assert proc.returncode == 0 and proc.stdout == ""
+    # the same report, but for the flag that names the file
+    doc["flags"]["output"] = str(out)
+    assert out.read_text() == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def test_reports_embed_version_and_flags(capsys):

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -405,11 +407,12 @@ def test_brute_force_min_vector_scales_past_float_range():
     v = np.random.Generator(np.random.PCG64(8)).standard_normal(6)
     norm, signs = brute_force_min_vector(p, v)
     assert 0.0 < norm < 1.0
-    for k in (-600, -520, 0, 520, 1000):
+    # the tie rule sees the same scaled norms at every k, so the argmin holds
+    # where the norms fall far below TIE_TOL (it used to flip from k = -48 on)
+    for k in (-600, -520, *range(-60, 61), 520, 1000):
         got_norm, got = brute_force_min_vector(p, np.ldexp(v, k))
         assert got_norm == math.ldexp(norm, k)
-        if k >= 0:  # below, TIE_TOL is coarser than the norms and all of them tie
-            assert got.signs.tolist() == signs.signs.tolist()
+        assert got.signs.tolist() == signs.signs.tolist()
     # every norm past the largest float: all tie at inf
     got_norm, got = brute_force_min_vector(Projection(OrthonormalFrame(np.eye(4))),
                                            np.full(4, 1.5e308))
@@ -622,6 +625,15 @@ def test_scan_pool_size_is_clamped(workers, count, expected, pool_sizes):
     assert [r.seed for r in recs] == list(range(5, 5 + count))
 
 
+def test_scan_reads_the_cpu_count_only_for_a_pool(pool_sizes, monkeypatch):
+    calls = []
+    monkeypatch.setattr(os, "cpu_count", lambda: calls.append(1) or 3)
+    scan(ScanConfig(n=4, rank=2, count=3, seed=5), workers=1)
+    assert calls == [] and pool_sizes == []
+    scan(ScanConfig(n=4, rank=2, count=3, seed=5), workers=2)
+    assert calls == [1] and pool_sizes == [2]
+
+
 def test_record_serialization_shapes():
     rec = ExperimentRecord(seed=1, n=4, rank=2, delta_p=0.5, min_psp_norm=0.25,
                            argmin_signs=(1, -1, 1, -1), two_delta_p=1.0,
@@ -656,6 +668,15 @@ def test_record_csv_row_and_json_dict_with_every_field_set():
         "single_vector_norms": [0.5, None, 1.0 / 3.0, 0.25],
         "error": "ValueError: bad, worse", "runtime_ms": 1.5,
     }
+    # asdict's keys in asdict's order, with fresh lists the record never sees
+    jd = rec.to_json_dict()
+    assert list(jd.items()) == [(k, list(v) if isinstance(v, tuple) else v)
+                                for k, v in dataclasses.asdict(rec).items()]
+    jd["argmin_signs"][0] = -1
+    jd["single_vector_norms"].append(9.0)
+    again = rec.to_json_dict()
+    assert again["argmin_signs"] == [1, -1, -1, 1]
+    assert again["single_vector_norms"] == [0.5, None, 1.0 / 3.0, 0.25]
     # unset fields: empty cells, JSON nulls
     bare = ExperimentRecord(seed=0, n=4, rank=9, error="ValueError: need rank <= n")
     assert records_to_csv([bare]).splitlines()[1] == "0,4,9,,,,,,,,ValueError: need rank <= n,0"
