@@ -245,8 +245,19 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    # A command's flags go straight to its own parser, which the top-level
+    # parse would hand them to after classifying each token a first time.
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    sub = commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        if sub is None:  # -h, --version, no command or an unknown one
+            args = parser.parse_args(argv)
+        else:
+            args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extras:  # the top-level parse's own refusal, usage line and exit
+                parser.error("unrecognized arguments: %s" % " ".join(extras))
     except SystemExit as exc:
         # argparse exits 2 on a usage error and 0 after -h and --version;
         # in-process callers get the code back like every other outcome.

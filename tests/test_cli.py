@@ -446,6 +446,67 @@ def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
     assert per_call == [6, 0, 0, 0, 0]
 
 
+SCAN = ["scan", "--n", "6", "--rank", "3", "--count", "2", "--seed", "1"]
+COMMAND_ARGVS = [
+    ["construct", "--m", "6"],
+    ["certify", "--m", "6..8"],
+    ["bruteforce", "--n", "6", "--rank", "3", "--seed", "1"],
+    ["balance", "--n", "8", "--rank", "4", "--seed", "1"],
+    [*SCAN, "--gamma", "0.75", "--epsilon", "0.1"],
+]
+EDGE_ARGVS = [
+    *COMMAND_ARGVS,
+    *([argv[0], "-h"] for argv in COMMAND_ARGVS),
+    [], ["-h"], ["--version"], ["--vers"], ["frobnicate"], ["cert", "--m", "8"],
+    ["certify"], ["certify", "--m"], ["certify", "--m=8"],
+    ["certify", "--m", "8", "--wor", "1"], ["certify", "--m", "8", "--m", "9"],
+    ["certify", "--m", "8", "--bogus"], ["certify", "--m", "8", "--version"],
+    ["certify", "--m", "8", "extra"], ["certify", "--m", "8", "--", "x"],
+    ["--", "certify", "--m", "8"], ["certify", "-m", "8"], ["construct", "--m", "x"],
+    [*SCAN, "--mode", "bogus"],
+    [*SCAN, "--format", "csv"],
+]
+
+
+def parse_all_then_run(argv):
+    """main before a command's flags went straight to its own parser: the
+    top-level parse, which hands them to the command's parser, then the run."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return cli.EXIT_USAGE if exc.code else cli.EXIT_OK
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGVS, ids=" ".join)
+def test_main_answers_every_argv_as_the_top_level_parse_did(argv, capsys):
+    got = run_main(capsys, *argv)
+    want_code = parse_all_then_run(argv)
+    want = capsys.readouterr()
+    assert got.returncode == want_code
+    assert scrub_output(got.stdout) == scrub_output(want.out)
+    assert got.stderr == want.err
+
+
+@pytest.mark.parametrize("argv, parsed_by", [
+    *((argv, ["pavekit " + argv[0]]) for argv in COMMAND_ARGVS),
+    (["--version"], ["pavekit"]), (["frobnicate"], ["pavekit"]), ([], ["pavekit"]),
+])
+def test_main_parses_each_argv_once(argv, parsed_by, capsys, monkeypatch):
+    parsed = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting_parse(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    cli.main(argv)
+    capsys.readouterr()
+    # a command's own parser alone; the top-level parser for everything else
+    assert parsed == parsed_by
+
+
 def test_readme_examples_run(capsys):
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
