@@ -199,13 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("construct", help="build and exactly verify the counterexample frame")
     sp.add_argument("--m", type=int, required=True, help="construction parameter, >= 2")
     add_common(sp)
-    sp.set_defaults(func=cmd_construct, format="json")
+    sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("certify", help="exhaustive exact certificate over a range of m")
     sp.add_argument("--m", required=True, help="single value or inclusive range, e.g. 6..12")
     sp.add_argument("--workers", type=int, default=1, help=">= 1; has no effect on certify")
     add_common(sp)
-    sp.set_defaults(func=cmd_certify, format="json")
+    sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("bruteforce", help="exhaustive Conjecture A test on one random instance")
     sp.add_argument("--n", type=int, required=True)
@@ -213,14 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
     add_common(sp)
-    sp.set_defaults(func=cmd_bruteforce, format="json")
+    sp.set_defaults(func=cmd_bruteforce)
 
     sp = sub.add_parser("balance", help="single-vector cancellation certificate on one instance")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     add_common(sp)
-    sp.set_defaults(func=cmd_balance, format="json")
+    sp.set_defaults(func=cmd_balance)
 
     sp = sub.add_parser("scan", help="seeded batch of instance tests")
     sp.add_argument("--n", type=int, required=True)

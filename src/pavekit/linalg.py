@@ -9,10 +9,11 @@ to the coordinate space is an isometry onto range(p).  One kernel,
 one batched matmul, each matrix the same product ``compress_psp`` forms for a
 single sign vector.  The operator norm is
 read off the extreme eigenvalues from LAPACK's symmetric eigensolver
-(``numpy.linalg.eigvalsh``).  Array arguments hold integers or floats only
-(``_numeric_array``), never bools or strings cast to numbers.  Matrices and
-frames with a non-finite entry are rejected at construction, so no NaN
-reaches an eigensolve.
+(``numpy.linalg.eigvalsh``).  Every array argument passes one rule,
+``_real_array``: integer or float entries only, never bools or strings cast
+to numbers, and every entry finite.  So matrices, frames, signs, the weight
+rows of ``compressions`` and the vectors of ``Projection.apply`` with a NaN
+or infinite entry are refused, and no NaN reaches an eigensolve.
 ``delta_p_numeric`` is the one float delta_p, shared by paving and rearrange.
 
 All types are immutable after construction and all operations are pure
@@ -22,7 +23,6 @@ processes.
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
@@ -54,23 +54,21 @@ def _real(name: str, x) -> float:
     return float(x)
 
 
-def _numeric_array(name: str, x) -> np.ndarray:
+def _real_array(name: str, x, copy: bool = False) -> np.ndarray:
     # The package's one array rule: integer and float entries only, taken as
-    # np.asarray gives them; anything else is a ValueError.  A float cast
-    # would read '1' and True as 1, and a list can mix a bool into numbers
-    # without changing the array's dtype, so a list's entries are checked
-    # too.  Shapes and values are the caller's.
+    # a float64 array (a fresh one if ``copy``), every entry finite; anything
+    # else is a ValueError.  A float cast would read '1' and True as 1, and a
+    # list can mix a bool into numbers without changing the array's dtype,
+    # so a list's entries are checked too.  Shapes and ranges are the caller's.
     a = np.asarray(x)
     if a.dtype.kind not in "iuf" or (
             not isinstance(x, np.ndarray)
             and any(isinstance(e, (bool, np.bool_)) for e in np.asarray(x, dtype=object).flat)):
         raise ValueError("%s must hold integers or floats, not bool, str or object" % name)
+    a = a.astype(float, copy=copy)
+    if not np.isfinite(a).all():
+        raise ValueError("%s has a NaN or infinite entry" % name)
     return a
-
-
-def _real_array(name: str, x, copy: bool = False) -> np.ndarray:
-    # The array rule's entries as a float64 array, a fresh one if ``copy``.
-    return _numeric_array(name, x).astype(float, copy=copy)
 
 
 def _max_abs(x: np.ndarray):
@@ -93,11 +91,7 @@ class SymmetricMatrix:
         # neither can overflow for finite entries.
         h = 0.5 * a
         if a.size:
-            # NaN and +-inf propagate through the max, so one reduction both
-            # scales the symmetry check and rejects non-finite entries.
             scale = float(_max_abs(a))
-            if not math.isfinite(scale):
-                raise ValueError("matrix entries must be finite")
             if scale and float(_max_abs(h - h.T)) > 0.5 * SYMMETRY_TOL * scale:
                 raise ValueError("matrix is not symmetric within tolerance")
         h = h + h.T
@@ -124,8 +118,6 @@ class OrthonormalFrame:
         a = _real_array("rows", rows, copy=True)
         if a.ndim != 2:
             raise ValueError("expected a 2-d array of rows, got shape %s" % (a.shape,))
-        if not np.isfinite(a).all():
-            raise ValueError("frame entries must be finite")
         r = a.shape[0]
         if r:
             # A row too long to square makes an inf in the Gram matrix, which
@@ -185,8 +177,6 @@ class Projection:
         v = _real_array("v", v)
         if v.shape != (self.n,):
             raise ValueError("dimension mismatch: vector %s vs n=%d" % (v.shape, self.n))
-        if not np.isfinite(v).all():
-            raise ValueError("v has a NaN or infinite entry")
         f = self.frame.rows
         return f.T @ (f @ v)
 
@@ -204,7 +194,7 @@ class Symmetry:
     __slots__ = ("signs",)
 
     def __init__(self, signs):
-        a = _numeric_array("signs", signs)
+        a = _real_array("signs", signs)
         if a.ndim != 1:
             raise ValueError("signs must be a 1-d sequence")
         # Compare before any integer cast, which would truncate 1.9 to 1.
@@ -236,7 +226,8 @@ def compressions(p: Projection, rows) -> np.ndarray:
 
     One batched matmul over the stack; each matrix has the bits of the
     single product ``(f * w) @ f.T``, so it does not depend on which rows
-    share its batch.  Memory is k*r*(n + r) floats: callers bound k.
+    share its batch.  Memory is k*r*(n + r) floats: callers bound k.  A row
+    with a NaN or infinite entry, or not of length n, raises ``ValueError``.
     """
     rows = _real_array("rows", rows)
     if rows.ndim != 2 or rows.shape[1] != p.n:
@@ -251,8 +242,6 @@ def compress_psp(p: Projection, s: Symmetry) -> SymmetricMatrix:
     ||M|| equals ||p s p|| because F^T is an isometry from coordinate space
     onto range(p): p s p = F^T (F S F^T) F.
     """
-    if s.n != p.n:
-        raise ValueError("dimension mismatch: symmetry n=%d vs projection n=%d" % (s.n, p.n))
     return SymmetricMatrix(compressions(p, s.signs[None, :])[0])
 
 

@@ -62,6 +62,10 @@ SIGN_CHUNK = 1 << 14
 # more than r*(n + r) as the walk has 2r <= n.  The Rayleigh bounds of a
 # chunk take r + n floats per sign vector, no more.
 COMPRESSION_BLOCK = 1 << 19
+# The most instances one scan runs: every record is held until the report is
+# written, and a balance-mode record at n = DEFAULT_MAX_N holds about 4.0 KB
+# at the peak of a JSON report, so the cap keeps a run near 18 MB.
+MAX_SCAN_COUNT = 4_500
 
 
 class BruteForceCapError(ValueError):
@@ -338,7 +342,8 @@ def conjectureA_test(
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Deterministic batch configuration; instance i uses seed + i.
+    """Deterministic batch configuration; instance i uses seed + i, for at
+    most ``MAX_SCAN_COUNT`` instances.
 
     gamma and epsilon, given together, add a Conjecture B verdict to each
     walked record; they need finite gamma > 0 and 0 < epsilon < 1.
@@ -357,8 +362,9 @@ class ScanConfig:
         if self.mode not in SCAN_MODES:
             raise ValueError("mode must be one of %s, got %r" % (SCAN_MODES, self.mode))
         # rank <= n is left to the draw, so each record carries that error.
-        for name, lo in (("n", 1), ("rank", 0), ("count", 0), ("seed", 0), ("max_n", 0)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), lo))
+        for name, lo, hi in (("n", 1, None), ("rank", 0, None), ("count", 0, MAX_SCAN_COUNT),
+                             ("seed", 0, None), ("max_n", 0, None)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), lo, hi))
         if (self.gamma is None) != (self.epsilon is None):
             raise ValueError("gamma and epsilon must be given together")
         if self.gamma is not None:
@@ -378,7 +384,7 @@ def _scan_instance(config: ScanConfig, i: int) -> ExperimentRecord:
     late = {}  # the fields set after the record is made, in its one replace
     try:
         p = random_projection(config.n, config.rank, seed)
-        if config.mode == "conjectureA" or config.n <= config.max_n:
+        if config.n <= config.max_n:
             rec = conjectureA_test(p, seed=seed, max_n=config.max_n)
             if config.gamma is not None:
                 # Conjecture B: delta_p < gamma implies some symmetry has

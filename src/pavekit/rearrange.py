@@ -82,8 +82,6 @@ class ZeroSumFamily:
             a = a.reshape(0, 0)  # [] is the empty family
         if a.ndim != 2:
             raise ValueError("expected a sequence of equal-length vectors")
-        if not np.isfinite(a).all():
-            raise ValueError("family has a NaN or infinite entry")
         a.setflags(write=False)
         object.__setattr__(self, "vectors", a)
         # Norms are taken of a / peak and scaled back in Python floats, so no
@@ -259,8 +257,6 @@ def single_vector_symmetry(p: Projection, v: Vector) -> SingleVectorResult:
     ``ValueError``.
     """
     v = _real_array("v", v)
-    if not np.isfinite(v).all():
-        raise ValueError("v has a NaN or infinite entry")
     peak = float(np.abs(v).max(initial=0.0))
     if peak == 0.0:
         raise ValueError("v = 0; no direction to cancel")

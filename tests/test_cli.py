@@ -468,6 +468,40 @@ EDGE_ARGVS = [
 ]
 
 
+def report_flags(text):
+    """The flags a report echoes: top-level in JSON, in the '# ' header line of CSV."""
+    return json.loads(text.splitlines()[0].removeprefix("# "))["flags"]
+
+
+@pytest.mark.parametrize("argv", [
+    *COMMAND_ARGVS, [*SCAN, "--format", "csv"], [*SCAN, "--mode", "balance"],
+], ids=" ".join)
+def test_every_report_replays_from_its_own_flags(argv, capsys):
+    first = run_main(capsys, *argv)
+    replay = [argv[0]]
+    for dest, value in report_flags(first.stdout).items():
+        if value is not None:
+            replay += ["--" + dest.replace("_", "-"), str(value)]
+    again = run_main(capsys, *replay)
+    assert again.returncode == first.returncode, again.stderr
+    assert scrub_output(again.stdout) == scrub_output(first.stdout)
+
+
+def test_scan_refuses_a_count_past_the_cap_before_any_instance(capsys, monkeypatch):
+    cap = paving.MAX_SCAN_COUNT
+    assert paving.ScanConfig(n=6, rank=2, count=cap, seed=1).count == cap
+    # refused here first, so a missing cap fails this test instead of hanging it
+    with pytest.raises(ValueError, match="^count must be an integer in"):
+        paving.ScanConfig(n=6, rank=2, count=cap + 1, seed=1)
+    drawn = []
+    monkeypatch.setattr(paving, "random_projection", lambda *a: drawn.append(a))
+    count = 10**50 - 1
+    proc = run_main(capsys, "scan", "--n", "6", "--rank", "2", "--count", str(count),
+                    "--seed", "1", "--gamma", "0.5", "--epsilon", "0.1")
+    assert proc.returncode == 1 and proc.stdout == "" and drawn == []
+    assert proc.stderr == "error: count must be an integer in [0, %d], got %d\n" % (cap, count)
+
+
 def parse_all_then_run(argv):
     """main before a command's flags went straight to its own parser: the
     top-level parse, which hands them to the command's parser, then the run."""

@@ -77,6 +77,39 @@ def test_non_finite_entries_rejected_at_construction(bad):
         OrthonormalFrame([[1.0, 0.0], [0.0, bad]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_compressions_refuse_non_finite_weight_rows(bad):
+    p = random_projection(4, 2, 1)
+    with pytest.raises(ValueError, match="^rows has a NaN or infinite entry$"):
+        compressions(p, [[1.0, -1.0, 1.0, 1.0], [1.0, bad, -1.0, 1.0]])
+
+
+# (constructor from a writeable float64 array, the array the value stores)
+IMMUTABLE_TYPES = {
+    "SymmetricMatrix": (SymmetricMatrix, [[2.0, 1.0], [1.0, 3.0]], lambda m: m.mat),
+    "OrthonormalFrame": (OrthonormalFrame, [[0.6, 0.8]], lambda f: f.rows),
+    "Projection": (lambda a: Projection(OrthonormalFrame(a)), [[0.6, 0.8]],
+                   lambda p: p.frame.rows),
+    "Symmetry": (Symmetry, [1.0, -1.0], lambda s: s.signs),
+}
+
+
+@pytest.mark.parametrize("name", IMMUTABLE_TYPES)
+def test_values_are_immutable_and_never_alias_the_callers_array(name):
+    build, entries, stored_of = IMMUTABLE_TYPES[name]
+    given = np.array(entries)
+    value = build(given)
+    for attr in (*type(value).__slots__, "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, attr, None)
+    stored = stored_of(value)
+    before = stored.copy()
+    assert not stored.flags.writeable
+    assert given.flags.writeable and not np.shares_memory(stored, given)
+    given[...] = 0.0
+    assert np.array_equal(stored, before)
+
+
 def test_frame_rejects_non_orthonormal_rows():
     with pytest.raises(ValueError):
         OrthonormalFrame([[1.0, 1.0], [0.0, 1.0]])

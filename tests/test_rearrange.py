@@ -90,6 +90,18 @@ def test_family_rejects_non_finite_entries(bad):
         ZeroSumFamily([[1.0, bad], [-1.0, 0.0]])
 
 
+def test_family_is_immutable_and_never_aliases_the_callers_array():
+    given = np.array([[1.0, 2.0], [-1.0, -2.0]])
+    fam = ZeroSumFamily(given)
+    for attr in (*ZeroSumFamily.__slots__, "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(fam, attr, None)
+    assert not fam.vectors.flags.writeable
+    assert given.flags.writeable and not np.shares_memory(fam.vectors, given)
+    given[...] = 0.0
+    assert fam.vectors.tolist() == [[1.0, 2.0], [-1.0, -2.0]]
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, True, np.True_, "0.5"])
 def test_family_rejects_non_finite_sum_tolerance(tol):
     # NaN or inf would pass a family that does not sum to zero and switch
