@@ -84,7 +84,8 @@ def test_compressions_refuse_non_finite_weight_rows(bad):
         compressions(p, [[1.0, -1.0, 1.0, 1.0], [1.0, bad, -1.0, 1.0]])
 
 
-# (constructor from a writeable float64 array, the array the value stores)
+# (constructor, entries of the writeable float64 array it is given, the array
+# the value stores)
 IMMUTABLE_TYPES = {
     "SymmetricMatrix": (SymmetricMatrix, [[2.0, 1.0], [1.0, 3.0]], lambda m: m.mat),
     "OrthonormalFrame": (OrthonormalFrame, [[0.6, 0.8]], lambda f: f.rows),
