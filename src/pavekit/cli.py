@@ -188,41 +188,27 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pavekit", description=__doc__)
-    parser.add_argument("--version", action="version", version="pavekit %s" % __version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--output", default=None, help="write the report to this path")
-
-    sp = sub.add_parser("construct", help="build and exactly verify the counterexample frame")
+def _construct_flags(sp):
     sp.add_argument("--m", type=int, required=True, help="construction parameter, >= 2")
-    add_common(sp)
-    sp.set_defaults(func=cmd_construct)
 
-    sp = sub.add_parser("certify", help="exhaustive exact certificate over a range of m")
+
+def _certify_flags(sp):
     sp.add_argument("--m", required=True, help="single value or inclusive range, e.g. 6..12")
     sp.add_argument("--workers", type=int, default=1, help=">= 1; has no effect on certify")
-    add_common(sp)
-    sp.set_defaults(func=cmd_certify)
 
-    sp = sub.add_parser("bruteforce", help="exhaustive Conjecture A test on one random instance")
+
+def _instance_flags(sp):
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
+
+
+def _bruteforce_flags(sp):
+    _instance_flags(sp)
     sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
-    add_common(sp)
-    sp.set_defaults(func=cmd_bruteforce)
 
-    sp = sub.add_parser("balance", help="single-vector cancellation certificate on one instance")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    add_common(sp)
-    sp.set_defaults(func=cmd_balance)
 
-    sp = sub.add_parser("scan", help="seeded batch of instance tests")
+def _scan_flags(sp):
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--count", type=int, required=True)
@@ -233,31 +219,66 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
-    add_common(sp)
-    sp.set_defaults(func=cmd_scan)
+
+
+# Each command once: its help line in the top-level help, the flags it takes
+# before --output, and the function that runs it.
+_COMMANDS = {
+    "construct": ("build and exactly verify the counterexample frame",
+                  _construct_flags, cmd_construct),
+    "certify": ("exhaustive exact certificate over a range of m", _certify_flags, cmd_certify),
+    "bruteforce": ("exhaustive Conjecture A test on one random instance",
+                   _bruteforce_flags, cmd_bruteforce),
+    "balance": ("single-vector cancellation certificate on one instance",
+                _instance_flags, cmd_balance),
+    "scan": ("seeded batch of instance tests", _scan_flags, cmd_scan),
+}
+
+
+def _add_command(sp: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, add_flags, func = _COMMANDS[name]
+    add_flags(sp)
+    sp.add_argument("--output", default=None, help="write the report to this path")
+    sp.set_defaults(func=func)
+    return sp
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="pavekit", description=__doc__)
+    parser.add_argument("--version", action="version", version="pavekit %s" % __version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
-# One parser per process, built on the first main() call rather than at
-# import: parse_args never mutates it, and help, usage and --version look up
-# sys.stdout/sys.stderr when they print.
+# Parsers are built on the first main() call that needs them rather than at
+# import, and kept: parse_args never mutates one, and help, usage and
+# --version look up sys.stdout/sys.stderr when they print.  The full tree
+# answers only -h, --version, a non-command and the leftover-token refusal.
 _parser = functools.cache(build_parser)
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    # The tree's subparser for name, built alone: the same prog, so the same
+    # usage, help and error lines.
+    return _add_command(argparse.ArgumentParser(prog="pavekit " + name), name)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _parser()
     # A command's flags go straight to its own parser, which the top-level
     # parse would hand them to after classifying each token a first time.
-    commands = next(a for a in parser._actions if a.dest == "command").choices
-    sub = commands.get(argv[0]) if argv else None
+    name = argv[0] if argv else None
     try:
-        if sub is None:  # -h, --version, no command or an unknown one
-            args = parser.parse_args(argv)
+        if name not in _COMMANDS:  # -h, --version, no command or an unknown one
+            args = _parser().parse_args(argv)
         else:
-            args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            args, extras = _command_parser(name).parse_known_args(
+                argv[1:], argparse.Namespace(command=name))
             if extras:  # the top-level parse's own refusal, usage line and exit
-                parser.error("unrecognized arguments: %s" % " ".join(extras))
+                _parser().error("unrecognized arguments: %s" % " ".join(extras))
     except SystemExit as exc:
         # argparse exits 2 on a usage error and 0 after -h and --version;
         # in-process callers get the code back like every other outcome.

@@ -422,7 +422,12 @@ def branch_bound_overall(m: int) -> float:
     (delta_p/4) * min(m^2 - 4m - 2, sqrt(2m+1)), which is
     (delta_p/4) * sqrt(2m+1) for every m >= 6."""
     m = _integer("m", m, ANALYTIC_MIN_M)
-    delta = float(delta_p_exact(m))
+    return _branch_bound(m, delta_p_exact(m))
+
+
+def _branch_bound(m: int, delta_p: Fraction) -> float:
+    # branch_bound_overall for a checked m and its exact delta_p.
+    delta = float(delta_p)
     # delta underflows to 0.0 past m ~ 1e162, before sqrt(2m+1) could overflow
     return delta / 4.0 * math.sqrt(2 * m + 1) if delta else 0.0
 
@@ -487,21 +492,26 @@ def min_over_symmetries_v0(m: int) -> CertificateReport:
     """
     m = _integer("m", m, MIN_M)
     units, alpha, beta = _lattice_min(m)
-    min_norm_sq = Fraction(units, m**4 * (m + 1) ** 4)
-    delta = delta_p_exact(m)
-    verdict = FALSIFIES_A if min_norm_sq > 4 * delta * delta else INCONCLUSIVE
+    num = max(_diagonal(m).values())  # delta_p over L^2 = (m^2 (m+1))^2
+    delta = Fraction(num, (m * m * (m + 1)) ** 2)
+    # min_norm_sq = units / (m^4 (m+1)^4) > (2 delta_p)^2 = 4 num^2 / (m^8 (m+1)^4),
+    # both sides times m^8 (m+1)^4: integers decide the verdict
+    verdict = FALSIFIES_A if units * m**4 > 4 * num * num else INCONCLUSIVE
     return CertificateReport(
         m=m,
         delta_p=delta,
         two_delta_p=2 * delta,
-        min_norm_sq=min_norm_sq,
+        min_norm_sq=Fraction(units, m**4 * (m + 1) ** 4),
         argmin=(alpha, beta),
-        branch_bound=branch_bound_overall(m) if m >= ANALYTIC_MIN_M else None,
+        branch_bound=_branch_bound(m, delta) if m >= ANALYTIC_MIN_M else None,
         verdict=verdict,
     )
 
 
 # -- bridges to the floating-point side ----------------------------------------
+
+# The most entries float_frame writes: 2^25 floats (256 MB), m <= 52.
+_MAX_FLOAT_FRAME_ENTRIES = 1 << 25
 
 
 def float_frame(m: int) -> OrthonormalFrame:
@@ -510,7 +520,15 @@ def float_frame(m: int) -> OrthonormalFrame:
 
     A rational entry is R / L, the correctly rounded quotient of two exactly
     represented integers; every d entry is the float (1/m) * sqrt(rho).
+    After ``build_frame``'s own refusal, a frame of more than 2^25 floats
+    (256 MB, m > 52) is refused before any array is allocated.
     """
+    _gram_scale(m)  # build_frame's own refusal comes first
+    m = _integer("m", m, MIN_M)
+    entries = (2 * m + 2) * dimension(m)
+    if entries > _MAX_FLOAT_FRAME_ENTRIES:
+        raise ValueError("float_frame writes at most %d floats (m <= 52), got m=%d with %d"
+                         % (_MAX_FLOAT_FRAME_ENTRIES, m, entries))
     f = build_frame(m)
     m, edges = f.m, np.arange(f.pairs.shape[1])
     split = 2 * m + 2  # the a class and the b classes come before c

@@ -418,7 +418,9 @@ def test_shared_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
         return seen
 
     shared = outcomes()
+    # the fresh side builds every parser it uses: the tree and each command's
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    monkeypatch.setattr(cli, "_command_parser", cli._command_parser.__wrapped__)
     fresh = outcomes()
     for argv, got, want in zip(MIXED_ARGVS, shared, fresh):
         assert got == want, argv
@@ -426,7 +428,9 @@ def test_shared_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
 
 
 def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
-    cli._parser.cache_clear()  # as in a process that has not called main yet
+    # as in a process that has not called main yet
+    cli._parser.cache_clear()
+    cli._command_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -437,13 +441,25 @@ def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     per_call = []
     for argv in (["certify", "--m", "6..6"], ["certify"], ["--version"],
-                 ["construct", "--m", "2"], ["certify", "--m", "8..8"]):
+                 ["construct", "--m", "2"], ["certify", "--m", "8..8"], ["-h"],
+                 ["construct", "--m", "3"], ["certify", "--m", "8", "extra"]):
         before = len(built)
         cli.main(argv)
-        per_call.append(len(built) - before)
+        per_call.append(built[before:])
     capsys.readouterr()
-    # The top-level parser and one per subcommand, all on the first call.
-    assert per_call == [6, 0, 0, 0, 0]
+    tree = ["pavekit", *("pavekit " + name for name in cli._COMMANDS)]
+    # a command's own parser on its first call; the tree once, for --version;
+    # nothing later, -h and the leftover-token refusal included
+    assert per_call == [["pavekit certify"], [], tree, ["pavekit construct"], [], [], [], []]
+
+
+@pytest.mark.parametrize("name", ["construct", "certify", "bruteforce", "balance", "scan"])
+def test_a_commands_own_parser_reads_as_its_subparser_in_the_tree(name):
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command").choices[name]
+    own = cli._command_parser.__wrapped__(name)
+    assert own.prog == sub.prog == "pavekit " + name
+    assert own.format_usage() == sub.format_usage()
+    assert own.format_help() == sub.format_help()
 
 
 SCAN = ["scan", "--n", "6", "--rank", "3", "--count", "2", "--seed", "1"]

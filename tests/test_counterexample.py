@@ -206,6 +206,22 @@ def test_frames_past_the_int64_bound_are_refused_before_they_are_built(build, m)
     assert peak < 5 << 20
 
 
+@pytest.mark.parametrize("build", [float_frame, float_projection])
+@pytest.mark.parametrize("m", [53, 100, 1289])
+def test_float_frames_past_the_float_budget_are_refused_before_they_are_built(build, m):
+    # the dense frame at m = 100 would take 3.4 GB, at m = 1289 about 89 TB;
+    # m = 52, the largest allowed, takes 257 MB
+    assert (2 * 52 + 2) * dimension(52) <= 1 << 25 < (2 * 53 + 2) * dimension(53)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"at most 33554432 floats \(m <= 52\), got m=%d" % m):
+            build(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+
+
 def test_perturbed_frame_fails_verification():
     m, w = 6, 13
     f = build_frame(m)
