@@ -207,10 +207,10 @@ def test_frames_past_the_int64_bound_are_refused_before_they_are_built(build, m)
 
 
 @pytest.mark.parametrize("build", [float_frame, float_projection])
-@pytest.mark.parametrize("m", [53, 100, 1289])
+@pytest.mark.parametrize("m", [53, 100, np.uint8(100), 1289])
 def test_float_frames_past_the_float_budget_are_refused_before_they_are_built(build, m):
     # the dense frame at m = 100 would take 3.4 GB, at m = 1289 about 89 TB;
-    # m = 52, the largest allowed, takes 257 MB
+    # m = 52, the largest allowed, takes 257 MB; a numpy m is sized as an int
     assert (2 * 52 + 2) * dimension(52) <= 1 << 25 < (2 * 53 + 2) * dimension(53)
     tracemalloc.start()
     try:
