@@ -417,16 +417,10 @@ def branch_lower_bound(m: int, alpha: int) -> float:
     return math.sqrt(2 * m + 1) * scale if scale else 0.0
 
 
-def branch_bound_overall(m: int) -> float:
-    """The alpha-independent form of the analytic bound:
-    (delta_p/4) * min(m^2 - 4m - 2, sqrt(2m+1)), which is
-    (delta_p/4) * sqrt(2m+1) for every m >= 6."""
-    m = _integer("m", m, ANALYTIC_MIN_M)
-    return _branch_bound(m, delta_p_exact(m))
-
-
 def _branch_bound(m: int, delta_p: Fraction) -> float:
-    # branch_bound_overall for a checked m and its exact delta_p.
+    # The alpha-independent form of the analytic bound for a checked m >= 6
+    # and its exact delta_p: (delta_p/4) * min(m^2 - 4m - 2, sqrt(2m+1)),
+    # which is (delta_p/4) * sqrt(2m+1) for every m >= 6.
     delta = float(delta_p)
     # delta underflows to 0.0 past m ~ 1e162, before sqrt(2m+1) could overflow
     return delta / 4.0 * math.sqrt(2 * m + 1) if delta else 0.0

@@ -7,12 +7,12 @@ r x r compressions of a chunk of sign vectors come from one batched matmul,
 each matrix the same product ``compress_psp`` forms, so a norm does not
 depend on where the search meets it; ranks 0 and above n/2 are not walked,
 as the dimension count fixes every norm, and otherwise a sign vector is
-eigensolved only when two lower bounds on its norm, a Rayleigh quotient and
-then the sixteenth root of the largest diagonal entry of its compression's
-sixteenth power, can still beat the best norm so far, so records are those
-of scoring every one), the Conjecture A instance test, and a
-deterministic seeded scan harness that emits machine-readable records, with
-an optional Conjecture B verdict per record.
+eigensolved only when two lower bounds on its norm, a Rayleigh quotient on
+a unit frame column and then the 32nd root of the largest diagonal entry of
+its compression's 32nd power, can still beat the best norm so far, so
+records are those of scoring every one), the Conjecture A instance test,
+and a deterministic seeded scan harness that emits machine-readable
+records, with an optional Conjecture B verdict per record.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ SIGN_CHUNK = 1 << 14
 # squarings of the stack bound come after the broadcast is freed and hold
 # the stack and two more r x r matrices, 3r^2 floats per sign vector, no
 # more than r*(n + r) as the walk has 2r <= n.  The Rayleigh bounds of a
-# chunk take r + n floats per sign vector, no more.
+# chunk take n floats per sign vector, no more.
 COMPRESSION_BLOCK = 1 << 19
 # The most instances one scan runs: every record is held until the report is
 # written, and a balance-mode record at n = DEFAULT_MAX_N holds about 4.0 KB
@@ -128,7 +128,7 @@ def _norm_bounds(p: Projection, rows: np.ndarray) -> np.ndarray:
     of rank r >= 1: no computed norm lies below its bound.
 
     For a unit u, u^T F S F^T u = sum_k s_k (u . f_k)^2 <= ||psp||, with u
-    over the r frame axes and the unit frame columns.  A sign vector with
+    over the unit frame columns f_j/|f_j|.  A sign vector with
     more than n - r signs of one kind gets 1, its exact norm: range(p), of
     dimension r, meets the coordinate subspace of those signs.  Each bound
     is less (r+1)*FRAME_GRAM_TOL: on the shared vector the frame's Gram
@@ -141,7 +141,7 @@ def _norm_bounds(p: Projection, rows: np.ndarray) -> np.ndarray:
     # A column of squared norm below the smallest normal float is left out:
     # its quotient could round far above the true one.
     live = np.flatnonzero(g.diagonal() > np.finfo(float).tiny)
-    w = np.concatenate([f * f, g[live] ** 2 / g.diagonal()[live, None]])
+    w = g[live] ** 2 / g.diagonal()[live, None]
     bound = np.abs(rows @ w.T).max(axis=1)
     bound[np.abs(rows.sum(axis=1)) > n - 2 * r] = 1.0
     return bound - (r + 1) * FRAME_GRAM_TOL
@@ -152,18 +152,22 @@ def _stack_bounds(c: np.ndarray) -> np.ndarray:
     (k, r, r) stack of compressions: no computed norm lies below its bound.
 
     H = (c + c^T)/2, with the bits ``SymmetricMatrix`` gives it, is squared
-    three times to H^8, and (H^16)_jj = ||H^8 e_j||^2 <= ||H||^16, so
-    max_j ||H^8 e_j||^(1/8) <= ||H||.  As the largest diagonal entry of
-    H^16 is at least its trace over r, the bound is never below
-    r^(-1/16)*||H||, less the margin below, unless ||H||^16/r underflows.
+    four times to H^16, and (H^32)_jj = ||H^16 e_j||^2 <= ||H||^32, so
+    max_j ||H^16 e_j||^(1/16) <= ||H||.  As the largest diagonal entry of
+    H^32 is at least its trace over r, the bound is never below
+    r^(-1/32)*||H||, less the margin below, unless ||H||^32/r underflows,
+    which zeroes the bound of any norm below about (r*tiny)^(1/32), 2e-10:
+    that costs eigensolves, never soundness.
 
     Rounding: a squaring of X errs by about r*(eps/2)*|X||X| at most in each
     entry, and || |X||X| || <= r*||X||^2, so the computed bound exceeds
-    ||H|| by a factor of about 1 + r^2*eps/2 at most; the bound is
+    ||H|| by a factor of about 1 + r^2*eps/2 at most (after k squarings the
+    norm errs by a relative (2^k - 1)*r^2*eps/2, so the sum of squares errs
+    by 30 times r^2*eps/2 and its 32nd root by less); the bound is
     multiplied by 1 - (r + 64)*r*eps, which leaves 64*r*eps*||H|| for the
     error of the eigensolve.  Underflow only lowers the bound: a largest
     sum of squares below the smallest normal float, which rounding subnormal
-    products up could as much as double (a 4.4 % higher root), is taken as
+    products up could as much as double (a 2.2 % higher root), is taken as
     0, and one that is normal makes every power of H before it exceed
     1e-154 in norm and each subnormal product err by at most 2^-1075, a
     relative r*eps/2 of the sum, inside the margin.
@@ -171,11 +175,11 @@ def _stack_bounds(c: np.ndarray) -> np.ndarray:
     r = c.shape[1]
     h = 0.5 * c
     h = h + h.transpose(0, 2, 1)
-    for _ in range(3):
+    for _ in range(4):
         h = np.matmul(h, h)
     top = np.einsum("kij,kij->kj", h, h).max(axis=1)
     top[top < np.finfo(float).tiny] = 0.0
-    return top ** (1 / 16) * (1.0 - (r + 64) * r * float(np.finfo(float).eps))
+    return top ** (1 / 32) * (1.0 - (r + 64) * r * float(np.finfo(float).eps))
 
 
 def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, Symmetry]:
@@ -194,18 +198,18 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
     the answer is ``+--...-``.  At 1 <= r <= n/2 only the sign vectors that
     can still win are eigensolved, as two lower bounds on the norm filter
     them.  The Rayleigh bound (``_norm_bounds``, one matmul per chunk) is
-    the largest |u^T F S F^T u| over the unit u along the r frame axes and
-    the n frame columns, raised to 1 when the sign vector has more than
-    n - r signs of one kind, less (r+1)*FRAME_GRAM_TOL.  The stack bound
-    (``_stack_bounds``) is read off the compressions by three squarings and
-    is within a factor r^(-1/16) of the norm.  A chunk takes two groups in
-    turn: the row with the lowest Rayleigh bound, then every row whose
-    Rayleigh bound is at most the best norm so far plus TIE_TOL.  Each group
+    the largest |u^T F S F^T u| over the unit u along the n frame columns,
+    raised to 1 when the sign vector has more than n - r signs of one kind,
+    less (r+1)*FRAME_GRAM_TOL.  The stack bound (``_stack_bounds``) is read
+    off the compressions by four squarings and is within a factor r^(-1/32)
+    of the norm.  A chunk takes two groups in turn: the row with the lowest
+    Rayleigh bound, then every row whose Rayleigh bound is at most the best
+    norm so far plus TIE_TOL.  Each group
     forms its compressions once and eigensolves them in ascending order of
     the larger of the two bounds, up to the first bound above the best plus
     TIE_TOL.  A skipped sign vector has a norm above the best plus TIE_TOL,
     so it is neither the minimum nor a tie, and the result is what scoring
-    all of them gives.  At n = 10, seeds 1-3, the walk eigensolves 8/1/3
+    all of them gives.  At n = 10, seeds 1-3, the walk eigensolves 8/2/3
     and 2/2/2 of the 512 sign vectors at ranks 3 and 5.
     """
     n, r = p.n, p.rank

@@ -16,7 +16,6 @@ from pavekit.counterexample import (
     ExactFrame,
     SignProfile,
     block_sizes,
-    branch_bound_overall,
     branch_lower_bound,
     build_frame,
     delta_p_exact,
@@ -558,8 +557,8 @@ def test_m_follows_the_one_integer_rule():
     for bad in (True, 6.5, 5):
         with pytest.raises(ValueError):
             branch_lower_bound(bad, 1)
-        with pytest.raises(ValueError):
-            branch_bound_overall(bad)
+    # the report claims no analytic bound below m = 6
+    assert min_over_symmetries_v0(5).branch_bound is None
 
 
 def test_certificate_at_large_m_is_fast_and_exact():
@@ -577,7 +576,7 @@ def test_certificate_at_large_m_is_fast_and_exact():
 def test_branch_bound_examples():
     assert abs(branch_lower_bound(6, 0) - 5.0 / 49.0) < 1e-15
     assert abs(branch_lower_bound(6, 9) - math.sqrt(13) / 98.0) < 1e-15
-    overall = branch_bound_overall(8)
+    overall = min_over_symmetries_v0(8).branch_bound
     assert abs(overall - (2.0 / 81.0) / 4.0 * math.sqrt(17)) < 1e-15
     assert overall == pytest.approx(0.0255, abs=1e-4)
     # the exact enumeration is strictly stronger at m=8
@@ -590,18 +589,20 @@ def test_branch_bound_examples():
 
 def test_branch_bounds_at_huge_m():
     # both bounds round exact rationals, so no m overflows a float: the
-    # first branch tends to 1/2, the second and the overall bound to 0.0
+    # first branch tends to 1/2, the second and the report's overall bound
+    # to 0.0
     for m in (10**153, 2 * 10**154, 10**155, 10**163, 10**400):
         for alpha in (0, m * m // 4 - 1, m * m // 4, m * m // 2):
             bound = branch_lower_bound(m, alpha)
             assert 0.0 <= bound <= 0.5 and not math.isnan(bound), (m, alpha)
-        assert 0.0 <= branch_bound_overall(m) < 1e-229
+        assert 0.0 <= min_over_symmetries_v0(m).branch_bound < 1e-229
     assert branch_lower_bound(10**153, 10**306 // 2) == pytest.approx(math.sqrt(2e153) / 1e306)
-    assert branch_bound_overall(10**400) == 0.0
+    assert min_over_symmetries_v0(10**400).branch_bound == 0.0
     # the overall bound keeps the bits of (delta_p/4) * sqrt(2m+1), the
     # smaller arm of min(m^2 - 4m - 2, sqrt(2m+1)) for every m >= 6
     for m in range(6, 3000):
-        assert branch_bound_overall(m) == 2.0 / (m + 1) ** 2 / 4.0 * math.sqrt(2 * m + 1)
+        want = 2.0 / (m + 1) ** 2 / 4.0 * math.sqrt(2 * m + 1)
+        assert min_over_symmetries_v0(m).branch_bound == want
 
 
 def test_branch_bound_sound_on_every_normalized_cell():

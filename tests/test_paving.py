@@ -167,7 +167,7 @@ def test_brute_force_min_does_not_depend_on_the_chunk_size(monkeypatch):
 
 # operator_norm calls of brute_force_min(random_projection(10, rank, seed)),
 # seeds 1-3, in one chunk and in chunks of one sign vector
-SCORED = {3: ((8, 1, 3), (33, 15, 18)), 5: ((2, 2, 2), (26, 26, 21)),
+SCORED = {3: ((8, 2, 3), (27, 15, 18)), 5: ((2, 2, 2), (24, 25, 20)),
           7: ((0,) * 3, (0,) * 3)}
 
 
@@ -239,25 +239,39 @@ def test_skipped_symmetries_change_no_minimum_and_no_argmin(make, monkeypatch):
         assert shortfall > 2 * FRAME_GRAM_TOL
 
 
+@pytest.mark.parametrize("n", [14, 16])
+def test_skipped_symmetries_change_nothing_where_most_are_skipped(n):
+    # the same oracle at r = n/2, where the walk eigensolves 3 of the 8,192
+    # sign vectors (n = 14) and 26 of the 32,768 (n = 16): the minimum and
+    # the first sign vector within TIE_TOL of it must come out bit for bit
+    p = random_projection(n, n // 2, 1)
+    signs = [(1,) + t for t in itertools.product((-1, 1), repeat=n - 1)]
+    norms = [operator_norm(compress_psp(p, Symmetry(s))) for s in signs]
+    best = min(norms)
+    want = next(s for s, x in zip(signs, norms) if x <= best + TIE_TOL)
+    mn, argmin = brute_force_min(p)
+    assert mn == best and tuple(argmin.signs.tolist()) == want
+
+
 def check_stack_bounds(p, rows, norms):
     # the bound the walk eigensolves by: at most the computed norm, and,
-    # unless its 16th power over r underflows, never looser than r^(-1/16)
+    # unless its 32nd power over r underflows, never looser than r^(-1/32)
     # times it, less the rounding margin
     r = p.rank
     bounds = paving._stack_bounds(compressions(p, rows))
     assert (bounds <= norms).all()
     slack = 1.0 - 2 * (r + 64) * r * np.finfo(float).eps
-    normal = norms**16 > 2 * r * np.finfo(float).tiny
-    assert (bounds[normal] >= slack * r ** (-1 / 16) * norms[normal]).all()
+    normal = norms**32 > 2 * r * np.finfo(float).tiny
+    assert (bounds[normal] >= slack * r ** (-1 / 32) * norms[normal]).all()
 
 
 @pytest.mark.parametrize("make", [random_projection, shrunk_projection])
 def test_no_computed_norm_lies_below_its_bound(make):
     # the theorems the skips rest on, checked on the computed values: for
     # every sign vector at n = 2..12 and every rank, both bounds the walk
-    # filters by are at most the norm operator_norm computes.  At rank 1 the
-    # frame axis is the whole range, so a mixed sign vector's bound is its
-    # norm less the margin.
+    # filters by are at most the norm operator_norm computes.  At rank 1 each
+    # unit frame column spans the whole range, so a mixed sign vector's bound
+    # is its norm less the margin.
     for n in range(2, 13):
         rows = np.array([(1.0,) + t for t in itertools.product((-1.0, 1.0), repeat=n - 1)])
         for r in range(1, n + 1):
@@ -273,8 +287,9 @@ def test_no_computed_norm_lies_below_its_bound(make):
 
 
 def test_no_computed_norm_lies_below_its_stack_bound_on_integer_frames():
-    # exact ties, exact zeros, a subnormal column, and norms whose 16th
-    # powers are subnormal
+    # exact ties, exact zeros, a subnormal column, norms whose 16th powers
+    # are subnormal, and norms whose 32nd powers straddle the smallest
+    # normal float
     for p in integer_frames():
         rows = np.array([(1.0,) + t for t in itertools.product((-1.0, 1.0), repeat=p.n - 1)])
         norms = np.array([operator_norm(SymmetricMatrix(c)) for c in compressions(p, rows)])
@@ -297,13 +312,20 @@ def integer_frames():
             b = np.roll(a, 1) * (a @ a) - (a @ np.roll(a, 1)) * a
         yield Projection(OrthonormalFrame(np.array([a / np.linalg.norm(a), b / np.linalg.norm(b)])))
     # a column whose squared norm is subnormal: its quotient rounds above
-    # the true one, so only a frame axis may bound it (min 0.125 here)
+    # the true one, so it is left out and the other columns bound the row
+    # (min 0.125 here)
     v = np.array([1.0, 1e-161, 2.0, 1.0, 1.0, 3.0])
     yield Projection(OrthonormalFrame((v / np.linalg.norm(v))[None, :]))
     # two norms t^2 near 1e-20, whose 16th powers are subnormal: rounded up,
     # they would lift the stack bound up to 1.4 % above the norm
     for t in (8e-11, 1.1e-10):
         yield Projection(OrthonormalFrame(np.array([[0.5, 0.5, 0.5, 0.5, t]])))
+    # two norms t^2 near 2e-10, whose 32nd powers are 1.2e-315 (subnormal,
+    # so the stack bound is 0) and 1.2e-307 (normal, so it is near the
+    # norm); scaled to unit length, as the row fails the Gram check unscaled
+    for t in (1.2e-5, 1.6e-5):
+        v = np.array([0.5, 0.5, 0.5, 0.5, t])
+        yield Projection(OrthonormalFrame((v / np.linalg.norm(v))[None, :]))
 
 
 def test_brute_force_min_matches_full_enumeration_on_integer_frames(monkeypatch):
