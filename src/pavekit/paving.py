@@ -2,17 +2,17 @@
 
 Exhaustive minimum of ||psp|| over diagonal symmetries for small n (one
 search over the sign vectors in lexicographic order, shared with the
-single-vector minimum, with ties going to the lex-smallest sign vector; the
-r x r compressions of a chunk of sign vectors come from one batched matmul,
-each matrix the same product ``compress_psp`` forms, so a norm does not
-depend on where the search meets it; ranks 0 and above n/2 are not walked,
-as the dimension count fixes every norm, and otherwise a sign vector is
-eigensolved only when two lower bounds on its norm, a Rayleigh quotient on
-a unit frame column and then the 32nd root of the largest diagonal entry of
-its compression's 32nd power, can still beat the best norm so far, so
-records are those of scoring every one), the Conjecture A instance test,
-and a deterministic seeded scan harness that emits machine-readable
-records, with an optional Conjecture B verdict per record.
+single-vector minimum, ties going to the lex-smallest; a chunk's +-1 rows
+are cached read-only per (n, chunk), and its r x r compressions come from
+one batched matmul, each the product ``compress_psp`` forms, so a norm does
+not depend on where the search meets it; ranks 0 and above n/2 are not
+walked, as the dimension count fixes every norm, and a sign vector is
+eigensolved only when two lower bounds on its norm, a Rayleigh quotient on a
+unit frame column and then, past the first sign vector, the 32nd root of the
+largest diagonal entry of its compression's 32nd power, can still beat the
+best so far, so records are those of scoring every one), the Conjecture A
+instance test, and a deterministic seeded scan harness that emits
+machine-readable records, with an optional Conjecture B verdict per record.
 """
 
 from __future__ import annotations
@@ -90,6 +90,17 @@ def _walked(n: int, r: int) -> bool:
     return 1 <= r and 2 * r <= n
 
 
+@functools.lru_cache(maxsize=1)
+def _sign_rows(n: int, start: int, stop: int) -> np.ndarray:
+    """Sign vectors start..stop-1, shared read-only by later walks: sign j+1
+    of t is bit n-2-j, set for +1, so counting order is lexicographic."""
+    codes = np.arange(start, stop)
+    rows = np.ones((codes.size, n))
+    rows[:, 1:] = 2.0 * ((codes[:, None] >> np.arange(n - 2, -1, -1)) & 1) - 1.0
+    rows.setflags(write=False)
+    return rows
+
+
 def _min_over_signs(n: int, norms_of, chunk: int) -> tuple[float, Symmetry]:
     """Exhaustive minimum of ``norms_of`` over the 2^(n-1) sign vectors of a capped n.
 
@@ -102,9 +113,6 @@ def _min_over_signs(n: int, norms_of, chunk: int) -> tuple[float, Symmetry]:
     TIE_TOL of it, the lexicographically smallest.
     """
     count = 1 << (n - 1)
-    # Pattern t carries sign j+1 in bit n-2-j, set for +1: counting order
-    # is lexicographic order with -1 before +1.
-    shifts = np.arange(n - 2, -1, -1)
     best = math.inf
     # Every sign vector before the lex-smallest tie has a norm above the
     # final minimum plus TIE_TOL, so that tie is a strict running minimum:
@@ -112,9 +120,7 @@ def _min_over_signs(n: int, norms_of, chunk: int) -> tuple[float, Symmetry]:
     # far, and the first one left at the end is the answer.
     ties: list[tuple[float, np.ndarray]] = []
     for start in range(0, count, chunk):
-        codes = np.arange(start, min(start + chunk, count))
-        rows = np.ones((codes.size, n))
-        rows[:, 1:] = 2.0 * ((codes[:, None] >> shifts) & 1) - 1.0
+        rows = _sign_rows(n, start, min(start + chunk, count))
         norms = norms_of(rows, best)
         before = np.minimum.accumulate(np.concatenate(([best], norms[:-1])))
         ties += [(float(norms[i]), rows[i]) for i in np.flatnonzero(norms < before)]
@@ -142,8 +148,9 @@ def _norm_bounds(p: Projection, rows: np.ndarray) -> np.ndarray:
     # its quotient could round far above the true one.
     live = np.flatnonzero(g.diagonal() > np.finfo(float).tiny)
     w = g[live] ** 2 / g.diagonal()[live, None]
-    bound = np.abs(rows @ w.T).max(axis=1)
-    bound[np.abs(rows.sum(axis=1)) > n - 2 * r] = 1.0
+    # (live, k) layout and a matmul row sum, exact on +-1: fast at k >> n.
+    bound = np.maximum.reduce(np.abs(w @ rows.T), axis=0)
+    bound[np.abs(rows @ np.ones(n)) > n - 2 * r] = 1.0
     return bound - (r + 1) * FRAME_GRAM_TOL
 
 
@@ -189,8 +196,9 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
     batched matmul (``linalg.compressions``; a chunk holds at most
     COMPRESSION_BLOCK floats), each matrix the same product ``compress_psp``
     forms, so a sign vector's norm does not depend on where the search
-    meets it.  Returns the smallest norm and the lexicographically smallest
-    sign vector (first sign +1) within TIE_TOL of it.
+    meets it; its +-1 rows are cached read-only per (n, chunk), shared by
+    the one-chunk walks at n <= 13.  Returns the smallest norm and the
+    lexicographically smallest sign vector (first sign +1) within TIE_TOL of it.
 
     Ranks 0 and above n/2 are not walked: the dimension count fixes every
     norm at 0, or at exactly 1 (range(p) meets the coordinate subspace of
@@ -204,13 +212,14 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
     off the compressions by four squarings and is within a factor r^(-1/32)
     of the norm.  A chunk takes two groups in turn: the row with the lowest
     Rayleigh bound, then every row whose Rayleigh bound is at most the best
-    norm so far plus TIE_TOL.  Each group
-    forms its compressions once and eigensolves them in ascending order of
-    the larger of the two bounds, up to the first bound above the best plus
-    TIE_TOL.  A skipped sign vector has a norm above the best plus TIE_TOL,
-    so it is neither the minimum nor a tie, and the result is what scoring
-    all of them gives.  At n = 10, seeds 1-3, the walk eigensolves 8/2/3
-    and 2/2/2 of the 512 sign vectors at ranks 3 and 5.
+    norm so far plus TIE_TOL.  Each group forms its compressions once and
+    eigensolves them in ascending order of the larger of the two bounds, up
+    to the first bound above the best plus TIE_TOL; the walk's first group,
+    one row with no best to beat, takes no stack bound.  A skipped sign
+    vector has a norm above the best plus TIE_TOL, so it is neither the
+    minimum nor a tie, and the result is what scoring all of them gives.
+    At n = 10, seeds 1-3, the walk eigensolves 8/2/3 and 2/2/2 of the 512
+    sign vectors at ranks 3 and 5.
     """
     n, r = p.n, p.rank
     _check_cap(n, max_n)
@@ -226,7 +235,8 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
         todo = np.argmin(bound)[None]
         while todo.size:
             stack = compressions(p, rows[todo])
-            tight = np.maximum(_stack_bounds(stack), bound[todo])
+            tight = bound[todo] if best == math.inf else np.maximum(
+                _stack_bounds(stack), bound[todo])
             for i in np.argsort(tight, kind="stable"):
                 if tight[i] > best + TIE_TOL:
                     break

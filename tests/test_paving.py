@@ -194,6 +194,45 @@ def test_brute_force_min_scores_only_the_symmetries_that_can_win(rank, monkeypat
             assert len(scored) == want
 
 
+def test_sign_table_is_read_only_and_built_once_per_scan():
+    # the walk caches its sign table, so a write to it would reach every
+    # later walk of the same n and chunk; a scan of six n = 10 records, one
+    # chunk each, builds it once
+    rows = paving._sign_rows(10, 0, 512)
+    with pytest.raises(ValueError):
+        rows[0, 0] = -1.0
+    paving._sign_rows.cache_clear()
+    scan(ScanConfig(n=10, rank=5, count=6, seed=1))
+    assert paving._sign_rows.cache_info().misses == 1
+
+
+def test_cached_sign_table_gives_the_records_of_a_cold_cache(monkeypatch):
+    # walks at n = 8 and n = 10 interleaved, each instance twice and then
+    # through the vector search, whose one-chunk walks share the table: the
+    # records must be those of walks that each start from an empty cache.
+    # At 2^14 each instance's second walk and its vector search hit.
+    rng = np.random.Generator(np.random.PCG64(5))
+    cases = [(random_projection(n, r, seed), rng.standard_normal(n))
+             for seed in (1, 2) for n, r in ((8, 3), (10, 5), (8, 4), (10, 3))]
+
+    def records(p, v, cold):
+        out = []
+        for search in (brute_force_min, brute_force_min, brute_force_min_vector):
+            if cold:
+                paving._sign_rows.cache_clear()
+            mn, argmin = search(p) if search is brute_force_min else search(p, v)
+            out.append((mn, argmin.signs.tolist()))
+        return out
+
+    for chunk in (1, 4, 1 << 14):
+        monkeypatch.setattr(paving, "SIGN_CHUNK", chunk)
+        want = [records(p, v, cold=True) for p, v in cases]
+        paving._sign_rows.cache_clear()
+        assert [records(p, v, cold=False) for p, v in cases] == want
+        if chunk == 1 << 14:
+            assert paving._sign_rows.cache_info().hits == 2 * len(cases)
+
+
 def shrunk_projection(n, r, seed):
     # random_projection's frame shrunk along u = (1, ..., 1)/sqrt(r): its Gram
     # matrix is I - eps*u u^T, off by eps/r = 0.95*FRAME_GRAM_TOL in every
@@ -271,19 +310,23 @@ def test_no_computed_norm_lies_below_its_bound(make):
     # every sign vector at n = 2..12 and every rank, both bounds the walk
     # filters by are at most the norm operator_norm computes.  At rank 1 each
     # unit frame column spans the whole range, so a mixed sign vector's bound
-    # is its norm less the margin.
+    # is its norm less the margin.  Each check runs on this test's own array
+    # and on the read-only sign table the walk itself passes.
     for n in range(2, 13):
         rows = np.array([(1.0,) + t for t in itertools.product((-1.0, 1.0), repeat=n - 1)])
+        table = paving._sign_rows(n, 0, 2 ** (n - 1))
+        assert (table == rows).all()
         for r in range(1, n + 1):
             p = make(n, r, n * 17 + r)
             norms = np.array([operator_norm(SymmetricMatrix(c)) for c in compressions(p, rows)])
-            bounds = paving._norm_bounds(p, rows)
-            assert (bounds <= norms).all()
-            if r == 1:
-                mixed = np.abs(rows.sum(axis=1)) <= n - 2
-                gap = bounds[mixed] + 2 * FRAME_GRAM_TOL - norms[mixed]
-                assert np.abs(gap).max() <= 4 * np.finfo(float).eps
-            check_stack_bounds(p, rows, norms)
+            for signs in (rows, table):
+                bounds = paving._norm_bounds(p, signs)
+                assert (bounds <= norms).all()
+                if r == 1:
+                    mixed = np.abs(signs.sum(axis=1)) <= n - 2
+                    gap = bounds[mixed] + 2 * FRAME_GRAM_TOL - norms[mixed]
+                    assert np.abs(gap).max() <= 4 * np.finfo(float).eps
+                check_stack_bounds(p, signs, norms)
 
 
 def test_no_computed_norm_lies_below_its_stack_bound_on_integer_frames():
