@@ -97,8 +97,8 @@ def _rational_pair(x) -> dict:
 
 def cmd_construct(args) -> int:
     m = args.m
+    frame = build_frame(m)  # its checks refuse a bad m before any progress line
     _progress("[construct] building exact frame for m=%d" % m)
-    frame = build_frame(m)
     ok = verify_orthonormal(frame)
     delta = delta_p_exact(m)
     report = {

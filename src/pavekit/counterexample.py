@@ -130,9 +130,8 @@ def _blocks(m: int) -> tuple[int, dict[str, _Block]]:
 
 
 def dimension(m: int) -> int:
-    """Ambient dimension 2m^3 + 8m^2 + 7m + 2 (= sum of the block sizes)."""
-    m = _integer("m", m, MIN_M)
-    return 2 * m**3 + 8 * m**2 + 7 * m + 2
+    """Ambient dimension 2m^3 + 8m^2 + 7m + 2, the sum of the block sizes."""
+    return sum(block_sizes(m).values())
 
 
 def block_sizes(m: int) -> dict[str, int]:
@@ -517,7 +516,7 @@ def float_frame(m: int) -> OrthonormalFrame:
     After ``build_frame``'s own refusal, a frame of more than 2^25 floats
     (256 MB, m > 52) is refused before any array is allocated.
     """
-    _gram_scale(m)  # build_frame's own refusal comes first
+    scale = _gram_scale(m)  # build_frame's own refusal comes first
     m = _integer("m", m, MIN_M)
     entries = (2 * m + 2) * dimension(m)
     if entries > _MAX_FLOAT_FRAME_ENTRIES:
@@ -530,7 +529,7 @@ def float_frame(m: int) -> OrthonormalFrame:
     c = np.zeros((f.rank, edges.size), dtype=np.int64)
     c[f.pairs[0], edges] = -m
     c[f.pairs[1], edges] = m
-    scale, radical = m * m * (m + 1), (1.0 / m) * math.sqrt((m - 1) / (m + 1))
+    radical = (1.0 / m) * math.sqrt((m - 1) / (m + 1))
     dense = f.R / scale + f.D * radical
     columns = np.concatenate([dense[:, :split], c / scale, dense[:, split:]], axis=1)
     mult = np.concatenate([f.mult[:split], np.ones(edges.size, dtype=np.int64), f.mult[split:]])

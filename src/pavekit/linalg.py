@@ -16,9 +16,9 @@ rows of ``compressions`` and the vectors of ``Projection.apply`` with a NaN
 or infinite entry are refused, and no NaN reaches an eigensolve.
 ``delta_p_numeric`` is the one float delta_p, shared by paving and rearrange.
 
-All types are immutable after construction and all operations are pure
-functions, so values can be shared freely between threads or worker
-processes.
+All types are immutable after construction (one rule, ``_Immutable``, shared
+with ``rearrange.ZeroSumFamily``) and all operations are pure functions, so
+values can be shared freely between threads or worker processes.
 """
 
 from __future__ import annotations
@@ -77,7 +77,16 @@ def _max_abs(x: np.ndarray):
     return np.maximum.reduce(np.abs(x), axis=None)
 
 
-class SymmetricMatrix:
+class _Immutable:
+    # The value types' one immutability rule: __init__ sets each slot once,
+    # through object.__setattr__, and any later assignment is refused.
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class SymmetricMatrix(_Immutable):
     """Dense real symmetric matrix, symmetrized and validated at construction."""
 
     __slots__ = ("mat",)
@@ -98,9 +107,6 @@ class SymmetricMatrix:
         h.setflags(write=False)
         object.__setattr__(self, "mat", h)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetricMatrix is immutable")
-
     @property
     def n(self) -> int:
         return self.mat.shape[0]
@@ -109,7 +115,7 @@ class SymmetricMatrix:
         return "SymmetricMatrix(n=%d)" % self.n
 
 
-class OrthonormalFrame:
+class OrthonormalFrame(_Immutable):
     """r orthonormal rows spanning an r-dimensional subspace of R^n."""
 
     __slots__ = ("rows",)
@@ -129,9 +135,6 @@ class OrthonormalFrame:
         a.setflags(write=False)
         object.__setattr__(self, "rows", a)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OrthonormalFrame is immutable")
-
     @property
     def rank(self) -> int:
         return self.rows.shape[0]
@@ -144,7 +147,7 @@ class OrthonormalFrame:
         return "OrthonormalFrame(rank=%d, n=%d)" % (self.rank, self.n)
 
 
-class Projection:
+class Projection(_Immutable):
     """Orthogonal projection given by an orthonormal frame of its range.
 
     The materialized matrix P = F^T F is automatically symmetric and, because
@@ -159,9 +162,6 @@ class Projection:
         if not isinstance(frame, OrthonormalFrame):
             raise TypeError("Projection expects an OrthonormalFrame")
         object.__setattr__(self, "frame", frame)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Projection is immutable")
 
     @property
     def n(self) -> int:
@@ -188,7 +188,7 @@ class Projection:
         return "Projection(rank=%d, n=%d)" % (self.rank, self.n)
 
 
-class Symmetry:
+class Symmetry(_Immutable):
     """A diagonal +-1 sign vector; the self-adjoint unitary s = q - q_perp."""
 
     __slots__ = ("signs",)
@@ -203,9 +203,6 @@ class Symmetry:
         a = a.astype(np.int64)
         a.setflags(write=False)
         object.__setattr__(self, "signs", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Symmetry is immutable")
 
     @property
     def n(self) -> int:

@@ -7,11 +7,12 @@ are cached read-only per (n, chunk), and its r x r compressions come from
 one batched matmul, each the product ``compress_psp`` forms, so a norm does
 not depend on where the search meets it; ranks 0 and above n/2 are not
 walked, as the dimension count fixes every norm, and a sign vector is
-eigensolved only when two lower bounds on its norm, a Rayleigh quotient on a
-unit frame column and then, past the first sign vector, the 32nd root of the
-largest diagonal entry of its compression's 32nd power, can still beat the
-best so far, so records are those of scoring every one), the Conjecture A
-instance test, and a deterministic seeded scan harness that emits
+eigensolved only when lower bounds on its norm can still beat the best so
+far: the Rayleigh bound, a Rayleigh quotient on a unit frame column, picks
+the rows to compress; the stack bound alone, the 32nd root of the largest
+diagonal entry of a compression's 32nd power, cuts the eigensolves past the
+first sign vector, so records are those of scoring every one), the
+Conjecture A instance test, and a deterministic seeded scan harness that emits
 machine-readable records, with an optional Conjecture B verdict per record.
 """
 
@@ -213,11 +214,13 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
     of the norm.  A chunk takes two groups in turn: the row with the lowest
     Rayleigh bound, then every row whose Rayleigh bound is at most the best
     norm so far plus TIE_TOL.  Each group forms its compressions once and
-    eigensolves them in ascending order of the larger of the two bounds, up
-    to the first bound above the best plus TIE_TOL; the walk's first group,
-    one row with no best to beat, takes no stack bound.  A skipped sign
-    vector has a norm above the best plus TIE_TOL, so it is neither the
-    minimum nor a tie, and the result is what scoring all of them gives.
+    eigensolves them in ascending order of their stack bounds, up to the
+    first bound above the best plus TIE_TOL: the Rayleigh bound picks the
+    rows to compress; the stack bound alone cuts the eigensolves.  The
+    walk's first group, one row with no best to beat, takes no stack bound.
+    A skipped sign vector has a norm above the best plus TIE_TOL, so it is
+    neither the minimum nor a tie, and the result is what scoring all of
+    them gives.
     At n = 10, seeds 1-3, the walk eigensolves 8/2/3 and 2/2/2 of the 512
     sign vectors at ranks 3 and 5.
     """
@@ -235,8 +238,7 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
         todo = np.argmin(bound)[None]
         while todo.size:
             stack = compressions(p, rows[todo])
-            tight = bound[todo] if best == math.inf else np.maximum(
-                _stack_bounds(stack), bound[todo])
+            tight = bound[todo] if best == math.inf else _stack_bounds(stack)
             for i in np.argsort(tight, kind="stable"):
                 if tight[i] > best + TIE_TOL:
                     break

@@ -50,6 +50,7 @@ from .linalg import (
     Projection,
     Symmetry,
     Vector,
+    _Immutable,
     _integer,
     _real,
     _real_array,
@@ -62,7 +63,7 @@ PREFIX_CUT_TOL = 1e-12  # slack in the |1/2 - prefix| <= delta/2 cut
 DEGENERATE_TOL = 1e-10  # ||p(v)|| below this is a degenerate input
 
 
-class ZeroSumFamily:
+class ZeroSumFamily(_Immutable):
     """A finite family of same-dimension vectors required to sum to zero.
 
     ``sum_tolerance`` defaults to 1e-9 times the total vector length mass;
@@ -113,9 +114,6 @@ class ZeroSumFamily:
                 % (resid, sum_tolerance)
             )
         object.__setattr__(self, "sum_tolerance", sum_tolerance)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZeroSumFamily is immutable")
 
     def __len__(self) -> int:
         return self.vectors.shape[0]

@@ -62,10 +62,12 @@ def test_construct_m12_is_orthonormal(capsys):
 
 
 def test_construct_usage_error_on_small_m(capsys):
+    # like every other command, construct checks its input before its first
+    # progress line: the refusal is the one line on stderr
     proc = run_main(capsys, "construct", "--m", "1")
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert "m must be" in proc.stderr
+    assert proc.stderr == "error: m must be an integer >= 2, got 1\n"
 
 
 @pytest.mark.parametrize("error, line", [
@@ -85,17 +87,19 @@ def test_out_of_memory_exits_1_with_an_error_line(error, line, capsys, monkeypat
         assert proc.stdout == "" and proc.stderr == line
 
 
-def test_construct_refuses_m_past_the_int64_bound_before_building(capsys):
-    # build_frame's R and D arrays grow as m^2: about 500 MB at m = 1600
+@pytest.mark.parametrize("m", [1290, 1600])
+def test_construct_refuses_m_past_the_int64_bound_before_building(m, capsys):
+    # build_frame's R and D arrays grow as m^2: about 500 MB at m = 1600;
+    # the refusal is the one line on stderr, with no progress line before it
     tracemalloc.start()
     try:
-        code = cli.main(["construct", "--m", "1600"])
+        code = cli.main(["construct", "--m", str(m)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     out = capsys.readouterr()
     assert code == 1 and out.out == ""
-    assert "the int64 Gram check is exact up to m = 1289, got m=1600" in out.err
+    assert out.err == "error: the int64 Gram check is exact up to m = 1289, got m=%d\n" % m
     assert peak < 5 << 20
 
 

@@ -94,7 +94,7 @@ def test_family_is_immutable_and_never_aliases_the_callers_array():
     given = np.array([[1.0, 2.0], [-1.0, -2.0]])
     fam = ZeroSumFamily(given)
     for attr in (*ZeroSumFamily.__slots__, "other"):
-        with pytest.raises(AttributeError, match="immutable"):
+        with pytest.raises(AttributeError, match="^ZeroSumFamily is immutable$"):
             setattr(fam, attr, None)
     assert not fam.vectors.flags.writeable
     assert given.flags.writeable and not np.shares_memory(fam.vectors, given)
