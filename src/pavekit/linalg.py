@@ -15,6 +15,10 @@ to numbers, and every entry finite.  So matrices, frames, signs, the weight
 rows of ``compressions`` and the vectors of ``Projection.apply`` with a NaN
 or infinite entry are refused, and no NaN reaches an eigensolve.
 ``delta_p_numeric`` is the one float delta_p, shared by paving and rearrange.
+Reductions call a ufunc's ``reduce`` or an ndarray method, never numpy's
+Python-level wrappers (``np.max``, ``np.all``, ``np.linalg.norm``), which are a
+measurable share of a reduction over an r x r matrix, and the integer and
+real rules test the exact type before the ``numbers`` ABCs.
 
 All types are immutable after construction (one rule, ``_Immutable``, shared
 with ``rearrange.ZeroSumFamily``) and all operations are pure functions, so
@@ -37,9 +41,10 @@ FRAME_GRAM_TOL = 1e-10      # max |<v_i, v_j> - delta_ij| accepted for a frame
 def _integer(name: str, x, lo: int, hi: int | None = None) -> int:
     # The package's one integer rule: any numbers.Integral but bool, taken as
     # a Python int; anything else, or a value out of range, is a ValueError.
-    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
-        raise ValueError("%s must be an integer, got %r" % (name, x))
-    x = int(x)
+    if type(x) is not int:
+        if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+            raise ValueError("%s must be an integer, got %r" % (name, x))
+        x = int(x)
     if x < lo or (hi is not None and x > hi):
         span = ">= %d" % lo if hi is None else "in [%d, %d]" % (lo, hi)
         raise ValueError("%s must be an integer %s, got %d" % (name, span, x))
@@ -49,6 +54,8 @@ def _integer(name: str, x, lo: int, hi: int | None = None) -> int:
 def _real(name: str, x) -> float:
     # The package's one real-number rule: any numbers.Real but bool, taken as
     # a Python float; anything else is a ValueError.  Ranges are the caller's.
+    if type(x) is float:
+        return x
     if not isinstance(x, numbers.Real) or isinstance(x, bool):
         raise ValueError("%s must be a real number, got %r" % (name, x))
     return float(x)
@@ -66,14 +73,12 @@ def _real_array(name: str, x, copy: bool = False) -> np.ndarray:
             and any(isinstance(e, (bool, np.bool_)) for e in np.asarray(x, dtype=object).flat)):
         raise ValueError("%s must hold integers or floats, not bool, str or object" % name)
     a = a.astype(float, copy=copy)
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError("%s has a NaN or infinite entry" % name)
     return a
 
 
 def _max_abs(x: np.ndarray):
-    # The ufunc reduce itself skips ndarray.max's Python-level wrapper, which
-    # is a measurable share of a reduction over an r x r matrix.
     return np.maximum.reduce(np.abs(x), axis=None)
 
 
@@ -130,7 +135,7 @@ class OrthonormalFrame(_Immutable):
             # the check below refuses.
             with np.errstate(over="ignore"):
                 g = a @ a.T
-            if float(np.abs(g - np.eye(r)).max()) > FRAME_GRAM_TOL:
+            if float(_max_abs(g - np.eye(r))) > FRAME_GRAM_TOL:
                 raise ValueError("rows are not orthonormal within %g" % FRAME_GRAM_TOL)
         a.setflags(write=False)
         object.__setattr__(self, "rows", a)
@@ -182,7 +187,7 @@ class Projection(_Immutable):
 
     def diagonal(self) -> Vector:
         """The diagonal <p e_i, e_i>, i.e. squared column norms of the frame."""
-        return (self.frame.rows ** 2).sum(axis=0)
+        return np.add.reduce(np.square(self.frame.rows), axis=0)
 
     def __repr__(self) -> str:
         return "Projection(rank=%d, n=%d)" % (self.rank, self.n)
@@ -198,7 +203,7 @@ class Symmetry(_Immutable):
         if a.ndim != 1:
             raise ValueError("signs must be a 1-d sequence")
         # Compare before any integer cast, which would truncate 1.9 to 1.
-        if not np.all(np.abs(a) == 1):
+        if not np.logical_and.reduce(np.abs(a) == 1, axis=None):
             raise ValueError("every sign must be exactly +1 or -1")
         a = a.astype(np.int64)
         a.setflags(write=False)
@@ -246,7 +251,7 @@ def delta_p_numeric(p: Projection) -> float:
     """Largest diagonal entry of the materialized projection."""
     if p.n == 0:
         return 0.0
-    return float(p.diagonal().max())
+    return float(np.maximum.reduce(p.diagonal()))
 
 
 def apply_psp(p: Projection, s: Symmetry, v: Vector) -> Vector:
@@ -296,7 +301,7 @@ def _orthonormalize_rows(x: np.ndarray) -> np.ndarray | None:
     # tests, and flipping each Q column to make diag(R) positive gives the
     # frame Gram-Schmidt would (Q with positive diag(R) is unique).
     q, r = np.linalg.qr(x.T)
-    diag = np.diag(r)
-    if np.any(np.abs(diag) <= 1e-8 * np.linalg.norm(x, axis=1)):
+    diag = r.diagonal()
+    if (np.abs(diag) <= 1e-8 * np.sqrt(np.add.reduce(x * x, axis=1))).any():
         return None
     return np.ascontiguousarray((q * np.sign(diag)).T)

@@ -26,7 +26,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,9 +49,11 @@ from .rearrange import DEGENERATE_TOL, single_vector_symmetry
 DEFAULT_MAX_N = 24
 CONJECTURE_TOL = 1e-9
 SCAN_MODES = ("conjectureA", "balance")
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # Norms within TIE_TOL of the minimum tie.  Norms of compressions of a
 # projection are at most 1, so this is a few ulps, far below CONJECTURE_TOL.
-TIE_TOL = 8 * float(np.finfo(float).eps)
+TIE_TOL = 8 * _EPS
 # Sign vectors per batch of the exhaustive search: about 2.5 MB of signs at
 # n = 20, whatever the total count.
 SIGN_CHUNK = 1 << 14
@@ -124,8 +126,8 @@ def _min_over_signs(n: int, norms_of, chunk: int) -> tuple[float, Symmetry]:
         rows = _sign_rows(n, start, min(start + chunk, count))
         norms = norms_of(rows, best)
         before = np.minimum.accumulate(np.concatenate(([best], norms[:-1])))
-        ties += [(float(norms[i]), rows[i]) for i in np.flatnonzero(norms < before)]
-        best = min(best, float(norms.min()))
+        ties += [(float(norms[i]), rows[i]) for i in (norms < before).nonzero()[0]]
+        best = min(best, float(np.minimum.reduce(norms)))
         ties = [(x, s) for x, s in ties if x <= best + TIE_TOL]
     return best, Symmetry(ties[0][1])
 
@@ -145,11 +147,11 @@ def _norm_bounds(p: Projection, rows: np.ndarray) -> np.ndarray:
     n, r = p.n, p.rank
     f = p.frame.rows
     g = f.T @ f
-    # A column of squared norm below the smallest normal float is left out:
-    # its quotient could round far above the true one.
-    live = np.flatnonzero(g.diagonal() > np.finfo(float).tiny)
-    w = g[live] ** 2 / g.diagonal()[live, None]
-    # (live, k) layout and a matmul row sum, exact on +-1: fast at k >> n.
+    # A column of squared norm below the smallest normal float gets weight
+    # 0: its quotient could round far above the true one.
+    d = g.diagonal()
+    w = g * g / np.where(d > _TINY, d, np.inf)[:, None]
+    # (n, k) layout and a matmul row sum, exact on +-1: fast at k >> n.
     bound = np.maximum.reduce(np.abs(w @ rows.T), axis=0)
     bound[np.abs(rows @ np.ones(n)) > n - 2 * r] = 1.0
     return bound - (r + 1) * FRAME_GRAM_TOL
@@ -185,9 +187,9 @@ def _stack_bounds(c: np.ndarray) -> np.ndarray:
     h = h + h.transpose(0, 2, 1)
     for _ in range(4):
         h = np.matmul(h, h)
-    top = np.einsum("kij,kij->kj", h, h).max(axis=1)
-    top[top < np.finfo(float).tiny] = 0.0
-    return top ** (1 / 32) * (1.0 - (r + 64) * r * float(np.finfo(float).eps))
+    top = np.maximum.reduce(np.einsum("kij,kij->kj", h, h), axis=1)
+    top[top < _TINY] = 0.0
+    return top ** (1 / 32) * (1.0 - (r + 64) * r * _EPS)
 
 
 def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, Symmetry]:
@@ -235,17 +237,17 @@ def brute_force_min(p: Projection, max_n: int = DEFAULT_MAX_N) -> tuple[float, S
         norms = np.full(len(rows), math.inf)
         # Two rounds: the lowest bound alone, whose norm sets the best that
         # filters the rest, then every row still within TIE_TOL of the best.
-        todo = np.argmin(bound)[None]
+        todo = bound.argmin()[None]
         while todo.size:
             stack = compressions(p, rows[todo])
             tight = bound[todo] if best == math.inf else _stack_bounds(stack)
-            for i in np.argsort(tight, kind="stable"):
+            for i in tight.argsort(kind="stable"):
                 if tight[i] > best + TIE_TOL:
                     break
                 norms[todo[i]] = x = operator_norm(SymmetricMatrix(stack[i]))
                 best = min(best, x)
             bound[todo] = math.inf
-            todo = np.flatnonzero(bound <= best + TIE_TOL)
+            todo = (bound <= best + TIE_TOL).nonzero()[0]
         return norms
 
     return _min_over_signs(n, norms_of, chunk)
@@ -266,10 +268,10 @@ def brute_force_min_vector(
     v and of 2^k v are the same.  Only the minimum is scaled back by 2^e,
     which is exact short of overflow to inf.
     """
+    _check_cap(p.n, max_n)
     v = _real_array("v", v)
     e = math.frexp(float(np.abs(v).max(initial=0.0)))[1]
     pv = p.apply(np.ldexp(v, -e))
-    _check_cap(p.n, max_n)
     f = p.frame.rows
     best, argmin = _min_over_signs(
         p.n, lambda rows, best: np.linalg.norm((rows * pv) @ f.T, axis=1), SIGN_CHUNK)
@@ -335,25 +337,28 @@ def records_to_csv(records, header: dict | None = None) -> str:
     return out.getvalue()
 
 
+def _conjectureA_fields(p: Projection, max_n: int) -> dict:
+    # The record fields of one Conjecture A instance test, past seed, n and rank.
+    delta = delta_p_numeric(p)
+    min_norm, argmin = brute_force_min(p, max_n=max_n)
+    return dict(
+        delta_p=delta,
+        min_psp_norm=min_norm,
+        argmin_signs=tuple(argmin.signs.tolist()),
+        two_delta_p=2.0 * delta,
+        conjectureA_satisfied=bool(min_norm <= 2.0 * delta + CONJECTURE_TOL),
+    )
+
+
 def conjectureA_test(
     p: Projection, seed: int | None = None, max_n: int = DEFAULT_MAX_N
 ) -> ExperimentRecord:
     """Test one instance of Conjecture A: is min_s ||psp|| <= 2*delta_p?"""
     seed = -1 if seed is None else _integer("seed", seed, 0)
     t0 = time.perf_counter()
-    delta = delta_p_numeric(p)
-    min_norm, argmin = brute_force_min(p, max_n=max_n)
-    return ExperimentRecord(
-        seed=seed,
-        n=p.n,
-        rank=p.rank,
-        delta_p=delta,
-        min_psp_norm=min_norm,
-        argmin_signs=tuple(argmin.signs.tolist()),
-        two_delta_p=2.0 * delta,
-        conjectureA_satisfied=bool(min_norm <= 2.0 * delta + CONJECTURE_TOL),
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    found = _conjectureA_fields(p, max_n)
+    return ExperimentRecord(seed, p.n, p.rank, **found,
+                            runtime_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 @dataclass(frozen=True)
@@ -397,34 +402,32 @@ class ScanConfig:
 def _scan_instance(config: ScanConfig, i: int) -> ExperimentRecord:
     seed = config.seed + i
     t0 = time.perf_counter()
-    late = {}  # the fields set after the record is made, in its one replace
     try:
         p = random_projection(config.n, config.rank, seed)
         if config.n <= config.max_n:
-            rec = conjectureA_test(p, seed=seed, max_n=config.max_n)
+            found = _conjectureA_fields(p, config.max_n)
             if config.gamma is not None:
                 # Conjecture B: delta_p < gamma implies some symmetry has
                 # ||psp|| < 1 - epsilon; vacuously true when delta_p >= gamma.
-                b_holds = rec.delta_p >= config.gamma or rec.min_psp_norm < 1 - config.epsilon
-                late["conjectureB_holds"] = bool(b_holds)
+                found["conjectureB_holds"] = (found["delta_p"] >= config.gamma
+                                              or found["min_psp_norm"] < 1 - config.epsilon)
         else:
             # A balance record past the cap: no walk, so no minimum, argmin or
             # verdicts.
             delta = delta_p_numeric(p)
-            rec = ExperimentRecord(
-                seed=seed, n=p.n, rank=p.rank, delta_p=delta, two_delta_p=2.0 * delta)
+            found = dict(delta_p=delta, two_delta_p=2.0 * delta)
         if config.mode == "balance":
             diag = p.diagonal()
-            late["single_vector_norms"] = tuple(
+            found["single_vector_norms"] = tuple(
                 None
                 if diag[k] <= DEGENERATE_TOL**2
                 else single_vector_symmetry(p, np.eye(1, config.n, k)[0]).achieved_norm
                 for k in range(config.n)
             )
     except Exception as exc:  # per-instance failures land in the record
-        rec = ExperimentRecord(seed=seed, n=config.n, rank=config.rank)
-        late = {"error": "%s: %s" % (type(exc).__name__, exc)}
-    return replace(rec, runtime_ms=(time.perf_counter() - t0) * 1000.0, **late)
+        found = {"error": "%s: %s" % (type(exc).__name__, exc)}
+    return ExperimentRecord(seed, config.n, config.rank, **found,
+                            runtime_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def scan(config: ScanConfig, workers: int = 1) -> list[ExperimentRecord]:

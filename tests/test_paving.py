@@ -331,13 +331,17 @@ def test_no_computed_norm_lies_below_its_bound(make):
                 check_stack_bounds(p, signs, norms)
 
 
-def test_no_computed_norm_lies_below_its_stack_bound_on_integer_frames():
-    # exact ties, exact zeros, a subnormal column, norms whose 16th powers
-    # are subnormal, and norms whose 32nd powers straddle the smallest
-    # normal float
+def test_no_computed_norm_lies_below_its_bounds_on_integer_frames():
+    # exact ties, exact zeros, a subnormal column, zero columns, norms whose
+    # 16th powers are subnormal, and norms whose 32nd powers straddle the
+    # smallest normal float.  The Rayleigh bound gives a dead column (squared
+    # norm 0 or subnormal) weight 0, not a 0/0: every bound is finite, and a
+    # division warning would fail the test.
     for p in integer_frames():
         rows = np.array([(1.0,) + t for t in itertools.product((-1.0, 1.0), repeat=p.n - 1)])
         norms = np.array([operator_norm(SymmetricMatrix(c)) for c in compressions(p, rows)])
+        bounds = paving._norm_bounds(p, rows)
+        assert np.isfinite(bounds).all() and (bounds <= norms).all()
         check_stack_bounds(p, rows, norms)
 
 
@@ -371,6 +375,10 @@ def integer_frames():
     for t in (1.2e-5, 1.6e-5):
         v = np.array([0.5, 0.5, 0.5, 0.5, t])
         yield Projection(OrthonormalFrame((v / np.linalg.norm(v))[None, :]))
+    # a rank-1 and a rank-2 frame with an exactly zero column
+    yield Projection(OrthonormalFrame(np.array([[1.0, 0.0, 2.0, 1.0, 1.0]]) / math.sqrt(7)))
+    yield Projection(OrthonormalFrame(np.array([[1.0, 1.0, 0.0, 1.0, 1.0],
+                                                [1.0, -1.0, 0.0, 1.0, -1.0]]) / 2))
 
 
 def test_brute_force_min_matches_full_enumeration_on_integer_frames(monkeypatch):
@@ -459,6 +467,16 @@ def test_brute_force_min_vector_consistency():
         brute_force_min_vector(p, np.ones(3), max_n=2)
     with pytest.raises(ValueError, match="v must hold integers or floats"):
         brute_force_min_vector(random_projection(4, 2, 1), ["1", "0", "0", "1"])
+
+
+def test_brute_force_min_vector_checks_the_cap_before_it_projects(monkeypatch):
+    # n > max_n with a valid v is refused before v is scaled or projected
+    def apply(self, v):
+        raise AssertionError("Projection.apply called past the cap")
+
+    monkeypatch.setattr(Projection, "apply", apply)
+    with pytest.raises(BruteForceCapError):
+        brute_force_min_vector(random_projection(6, 3, 1), np.ones(6), max_n=5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -621,6 +639,20 @@ def test_balance_scan_records_match_the_instance_tests():
         assert len(rec.single_vector_norms) == 6
 
 
+def test_conjectureA_scan_records_match_the_instance_tests():
+    # the same seeds in conjectureA mode: each record is the instance test's,
+    # field by field, plus its Conjecture B verdict
+    cfg = ScanConfig(n=6, rank=3, count=7, seed=5, gamma=0.75, epsilon=0.3)
+    recs = scan(cfg)
+    assert {r.conjectureB_holds for r in recs} == {True, False}
+    for rec in recs:
+        want = conjectureA_test(random_projection(6, 3, rec.seed), seed=rec.seed)
+        for key in paving.CSV_COLUMNS:
+            if key not in ("runtime_ms", "conjectureB_holds"):
+                assert getattr(rec, key) == getattr(want, key), key
+        assert rec.conjectureB_holds == (rec.delta_p >= 0.75 or rec.min_psp_norm < 1 - 0.3)
+
+
 def test_balance_scan_past_the_cap_keeps_the_fields_that_need_no_walk():
     below = scan(ScanConfig(n=8, rank=3, count=3, seed=2, mode="balance", gamma=0.75,
                             epsilon=0.1))
@@ -646,9 +678,14 @@ def test_scan_captures_per_instance_errors():
     cfg = ScanConfig(n=4, rank=9, count=2, seed=0)
     recs = scan(cfg)
     assert len(recs) == 2
+    blank = ExperimentRecord(seed=0, n=0, rank=0)
     for rec in recs:
         assert rec.error is not None
-        assert rec.min_psp_norm is None
+        for f in dataclasses.fields(ExperimentRecord):
+            if f.name not in ("seed", "n", "rank", "error", "runtime_ms"):
+                assert getattr(rec, f.name) == getattr(blank, f.name), f.name
+        assert (rec.n, rec.rank) == (4, 9)
+    assert [r.seed for r in recs] == [0, 1]
 
 
 def test_config_validation():
