@@ -78,11 +78,14 @@ def _envelope(args, payload: dict) -> str:
 
 
 def _parse_m_range(text: str) -> range:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    bounds = text.split("..", 1)
+    try:
+        lo, hi = int(bounds[0]), int(bounds[-1])
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):  # Python's cap on int digits
+            raise
+        raise ValueError("--m must be an integer or an inclusive range lo..hi, got %r"
+                         % text) from None
     if hi < lo:
         raise ValueError("empty m range %r" % text)
     if hi - lo >= MAX_CERTIFY_MS:

@@ -215,8 +215,8 @@ def build_frame(m: int) -> ExactFrame:
     docstring: the a class, b_1..b_w and d_1..d_w (w = 2m+1) as columns,
     and the c classes as the lexicographic pairs i < j.  m > 1289, past
     ``verify_orthonormal``'s exact range, is refused before any allocation."""
-    _gram_scale(m)
     m, layout = _blocks(m)
+    _gram_scale(m)
     w = layout["b"].classes
     i = np.arange(1, w + 1)
     r = np.zeros((w + 1, 2 * w + 1), dtype=np.int64)
@@ -243,7 +243,6 @@ def _gram_scale(m: int) -> int:
     scaled D sum stays below L^2 too.  2 L^2 < 2^63 up to m = 1289; larger m
     are refused, in O(1) memory, by ``build_frame`` before it allocates.
     """
-    m = _integer("m", m, MIN_M)
     scale = m * m * (m + 1)
     if 2 * scale * scale >= 1 << 63:
         raise ValueError("the int64 Gram check is exact up to m = 1289, got m=%d" % m)
@@ -263,7 +262,7 @@ def verify_orthonormal(f: ExactFrame) -> bool:
     equals I exactly when the radical part vanishes and, scaled by L^2, the
     rational part R W R^T + m^2 Lap + (m-1) m^2 (m+1) D W D^T equals L^2 I.
     """
-    m, r, d, k = f.m, f.R, f.D, f.rank
+    m, r, d, k = _blocks(f.m)[0], f.R, f.D, f.rank
     scale = _gram_scale(m)
     rm = r * f.mult
     cross = rm @ d.T
@@ -317,7 +316,7 @@ def delta_p_exact(m: int) -> Fraction:
     The maximum of the module docstring's table of block values, which its
     three inequalities place on the b block: 2/(m+1)^2 for every m >= 2.
     """
-    m = _integer("m", m, MIN_M)
+    m = _blocks(m)[0]
     return Fraction(max(_diagonal(m).values()), (m * m * (m + 1)) ** 2)
 
 
@@ -349,13 +348,15 @@ class SignProfile:
     def beta(self) -> int:
         return sum(1 for e in self.eps_prime if e == 1)
 
-    def validate(self, m: int) -> None:
-        layout = _blocks(m)[1]
+    def validate(self, m: int) -> tuple[int, dict[str, _Block]]:
+        """The checked m and its layout, once the profile's lengths match it."""
+        m, layout = _blocks(m)
         if (len(self.eps), len(self.eps_prime)) != (layout["a"].size, layout["b"].size):
             raise ValueError(
                 "profile lengths (%d, %d) do not match m=%d"
                 % (len(self.eps), len(self.eps_prime), m)
             )
+        return m, layout
 
 
 def psp_v0_coeffs(m: int, prof: SignProfile) -> tuple[Fraction, list[Fraction]]:
@@ -365,8 +366,7 @@ def psp_v0_coeffs(m: int, prof: SignProfile) -> tuple[Fraction, list[Fraction]]:
     c_i = (-S/m^2 + eps'_i)/(m+1)^2, S and T the signed sums over the a and
     b blocks.
     """
-    m = _integer("m", m, MIN_M)
-    prof.validate(m)
+    m = prof.validate(m)[0]
     s = sum(prof.eps)
     t = sum(prof.eps_prime)
     denom0 = (m + 1) ** 2
@@ -411,18 +411,13 @@ def branch_lower_bound(m: int, alpha: int) -> float:
     alpha = _integer("alpha", alpha, 0, m * m // 2)
     if 4 * alpha < m * m:
         return float(Fraction(m * m - 4 * m - 2, 2 * (m + 1) ** 2))
-    scale = float(Fraction(2 * alpha, m * m * (m + 1) ** 2))
-    # 0.0 only past m ~ 1e162, before sqrt(2m+1) could overflow
-    return math.sqrt(2 * m + 1) * scale if scale else 0.0
+    return _root_w_times(m, float(Fraction(2 * alpha, m * m * (m + 1) ** 2)))
 
 
-def _branch_bound(m: int, delta_p: Fraction) -> float:
-    # The alpha-independent form of the analytic bound for a checked m >= 6
-    # and its exact delta_p: (delta_p/4) * min(m^2 - 4m - 2, sqrt(2m+1)),
-    # which is (delta_p/4) * sqrt(2m+1) for every m >= 6.
-    delta = float(delta_p)
-    # delta underflows to 0.0 past m ~ 1e162, before sqrt(2m+1) could overflow
-    return delta / 4.0 * math.sqrt(2 * m + 1) if delta else 0.0
+def _root_w_times(m: int, x: float) -> float:
+    # sqrt(2m+1) * x, the analytic bound's span(v_1..v_{2m+1}) arm; x is 0.0
+    # only past m ~ 1e162, before sqrt(2m+1) could overflow
+    return math.sqrt(2 * m + 1) * x if x else 0.0
 
 
 def rational_to_str(x: Fraction) -> str:
@@ -483,7 +478,7 @@ def min_over_symmetries_v0(m: int) -> CertificateReport:
     module docstring, so each m costs O(1) lattice work.  Ties resolve to
     the lexicographically smallest (alpha, beta).
     """
-    m = _integer("m", m, MIN_M)
+    m = _integer("m", m, MIN_M)  # not _blocks: no layout is read, and one costs ~4 us
     units, alpha, beta = _lattice_min(m)
     num = max(_diagonal(m).values())  # delta_p over L^2 = (m^2 (m+1))^2
     delta = Fraction(num, (m * m * (m + 1)) ** 2)
@@ -496,7 +491,9 @@ def min_over_symmetries_v0(m: int) -> CertificateReport:
         two_delta_p=2 * delta,
         min_norm_sq=Fraction(units, m**4 * (m + 1) ** 4),
         argmin=(alpha, beta),
-        branch_bound=_branch_bound(m, delta) if m >= ANALYTIC_MIN_M else None,
+        # the alpha-independent form of the analytic bound, (delta_p/4) *
+        # min(m^2 - 4m - 2, sqrt(2m+1)), which is (delta_p/4) * sqrt(2m+1) for m >= 6
+        branch_bound=_root_w_times(m, float(delta) / 4.0) if m >= ANALYTIC_MIN_M else None,
         verdict=verdict,
     )
 
@@ -516,14 +513,14 @@ def float_frame(m: int) -> OrthonormalFrame:
     After ``build_frame``'s own refusal, a frame of more than 2^25 floats
     (256 MB, m > 52) is refused before any array is allocated.
     """
+    m, layout = _blocks(m)
     scale = _gram_scale(m)  # build_frame's own refusal comes first
-    m = _integer("m", m, MIN_M)
-    entries = (2 * m + 2) * dimension(m)
+    entries = (2 * m + 2) * sum(b.size for b in layout.values())
     if entries > _MAX_FLOAT_FRAME_ENTRIES:
         raise ValueError("float_frame writes at most %d floats (m <= 52), got m=%d with %d"
                          % (_MAX_FLOAT_FRAME_ENTRIES, m, entries))
     f = build_frame(m)
-    m, edges = f.m, np.arange(f.pairs.shape[1])
+    edges = np.arange(f.pairs.shape[1])
     split = 2 * m + 2  # the a class and the b classes come before c
     # each c edge as a column, -m on row i and +m on row j
     c = np.zeros((f.rank, edges.size), dtype=np.int64)
@@ -547,9 +544,8 @@ def profile_symmetry(m: int, prof: SignProfile, cd_signs=None) -> Symmetry:
     ``cd_signs`` fills the c and d blocks (defaults to all +1; psp(v_0) does
     not depend on it).
     """
-    prof.validate(m)
-    sizes = block_sizes(m)
-    tail = sizes["c"] + sizes["d"]
+    layout = prof.validate(m)[1]
+    tail = layout["c"].size + layout["d"].size
     # Symmetry's own rule decides the signs: a float cast here would pass
     # True and '1' as +1, and an integer cast 1.9.
     cd = np.ones(tail) if cd_signs is None else Symmetry(cd_signs).signs

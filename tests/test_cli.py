@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import io
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -9,6 +12,8 @@ import tracemalloc
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pavekit import __version__, cli, paving
 
@@ -103,14 +108,39 @@ def test_construct_refuses_m_past_the_int64_bound_before_building(m, capsys):
     assert peak < 5 << 20
 
 
-@pytest.mark.parametrize("args", [
-    ["certify", "--m", "1..3"], ["certify", "--m", "2.5"], ["certify", "--m", "True"],
-    ["construct", "--m", "2.5"],
+NO_M_RANGE = "error: --m must be an integer or an inclusive range lo..hi, got %r\n"
+
+
+@pytest.mark.parametrize("args, stderr", [
+    (["certify", "--m", "1..3"], "error: m must be an integer >= 2, got 1\n"),
+    (["certify", "--m", "9..8"], "error: empty m range '9..8'\n"),
+    *((["certify", "--m", text], NO_M_RANGE % text)
+      for text in ("2.5", "True", "8..", "..8", "8..8..9", "abc", "")),
+    (["construct", "--m", "2.5"], "usage: pavekit construct [-h] --m M [--output OUTPUT]\n"
+     "pavekit construct: error: argument --m: invalid int value: '2.5'\n"),
 ])
-def test_m_that_is_no_integer_of_at_least_2_exits_1(args, capsys):
+def test_m_that_is_no_integer_of_at_least_2_exits_1(args, stderr, capsys):
     proc = run_main(capsys, *args)
     assert proc.returncode == 1
     assert proc.stdout == ""
+    assert proc.stderr == stderr
+
+
+@pytest.mark.parametrize("text, ms", [(" 8 ", [8]), ("+8", [8]), ("1_000", [1000]),
+                                      ("7.. 8", [7, 8])])
+def test_certify_takes_every_integer_text_int_takes(text, ms, capsys):
+    proc = run_main(capsys, "certify", "--m", text)
+    assert proc.returncode in (0, 3)
+    assert [r["m"] for r in json.loads(proc.stdout)["results"]] == ms
+
+
+def test_construct_exits_2_when_the_exact_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_orthonormal", lambda frame: False)
+    proc = run_main(capsys, "construct", "--m", "6")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["report"]["orthonormal"] is False
+    assert proc.stderr == ("[construct] building exact frame for m=6\n"
+                           "[construct] exact orthonormality FAILED (implementation fault)\n")
 
 
 def test_certify_at_sizes_no_frame_could_have(capsys):
@@ -325,6 +355,13 @@ def test_reports_embed_version_and_flags(capsys):
     assert doc["version"]
     assert doc["flags"]["m"] == "6..6"
     assert doc["flags"]["workers"] == 1
+
+
+def test_package_version_is_the_projects_version():
+    # written in both files; a regex, as Python 3.10 has no tomllib
+    pyproject = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, re.M)
+    assert version == __version__
 
 
 def test_unknown_command_is_usage_error():
@@ -559,6 +596,42 @@ def test_main_parses_each_argv_once(argv, parsed_by, capsys, monkeypatch):
     capsys.readouterr()
     # a command's own parser alone; the top-level parser for everything else
     assert parsed == parsed_by
+
+
+# Edge texts for the two exact commands' m: the signs and small values, a
+# size past each bound, a 5,000-digit int (past Python's digit cap), texts
+# int() refuses, non-ASCII digits, and ranges empty, at the cap and malformed.
+EDGE_M = ["-1", "0", "1", "2", "8", "53", "1290", str(10**30), "9" * 5000, "1.5", "nan",
+          "inf", "", "\u0668", "2..1", "2..10001", "8..", "8..8..9"]
+# construct builds its frame in O(m^2) memory: drawing m only up to 40 or
+# from 1290, where the int64 bound refuses it, bounds the run time and hides
+# no fault, as every m between them takes the path of m = 40
+CONSTRUCT_M = [t for t in EDGE_M if t != "53"]
+# certify ignores --workers and starts no process; none is drawn above the CPU count
+EDGE_WORKERS = [None, "-1", "0", "1", str(min(2, os.cpu_count() or 1)), "1.5", "nan", ""]
+
+
+@st.composite
+def exact_command_argvs(draw):
+    command = draw(st.sampled_from(["construct", "certify"]))
+    argv = [command, "--m", draw(st.sampled_from(CONSTRUCT_M if command == "construct"
+                                                 else EDGE_M))]
+    workers = draw(st.sampled_from(EDGE_WORKERS))
+    return argv if workers is None else [*argv, "--workers", workers]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(exact_command_argvs())
+def test_exact_commands_answer_every_edge_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 3), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        # argparse's usage line may come first; the refusal is the last line
+        assert out.getvalue() == "" and [x for x in lines if "error: " in x] == lines[-1:], argv
 
 
 def test_readme_examples_run(capsys):

@@ -561,6 +561,27 @@ def test_m_follows_the_one_integer_rule():
     assert min_over_symmetries_v0(5).branch_bound is None
 
 
+@pytest.mark.parametrize("call, checks", [
+    (lambda: float_frame(6), 2),
+    (lambda: build_frame(6), 1),
+    (lambda: psp_v0_coeffs(6, SignProfile(eps=(1,) * 36, eps_prime=(1,) * 13)), 1),
+    (lambda: profile_symmetry(6, SignProfile(eps=(1,) * 36, eps_prime=(1,) * 13)), 1),
+], ids=["float_frame", "build_frame", "psp_v0_coeffs", "profile_symmetry"])
+def test_m_is_checked_once_per_layout(call, checks, monkeypatch):
+    # _blocks is the one intake of m: a function that reads the layout
+    # checks m there, and float_frame once more through build_frame
+    named_m = []
+    integer = counterexample._integer
+
+    def counting(name, *args):
+        named_m.append(name == "m")
+        return integer(name, *args)
+
+    monkeypatch.setattr(counterexample, "_integer", counting)
+    call()
+    assert sum(named_m) == checks
+
+
 def test_certificate_at_large_m_is_fast_and_exact():
     start = time.perf_counter()
     rep = min_over_symmetries_v0(1000)
@@ -600,9 +621,10 @@ def test_branch_bounds_at_huge_m():
     assert min_over_symmetries_v0(10**400).branch_bound == 0.0
     # the overall bound keeps the bits of (delta_p/4) * sqrt(2m+1), the
     # smaller arm of min(m^2 - 4m - 2, sqrt(2m+1)) for every m >= 6
-    for m in range(6, 3000):
-        want = 2.0 / (m + 1) ** 2 / 4.0 * math.sqrt(2 * m + 1)
-        assert min_over_symmetries_v0(m).branch_bound == want
+    for m in [*range(6, 3000), *(10**k + e for k in range(4, 397, 7) for e in (0, 1))]:
+        delta = float(Fraction(2, (m + 1) ** 2))  # 0.0 past m ~ 1e162
+        want = delta / 4.0 * math.sqrt(2 * m + 1) if delta else 0.0
+        assert min_over_symmetries_v0(m).branch_bound == want, m
 
 
 def test_branch_bound_sound_on_every_normalized_cell():

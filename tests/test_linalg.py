@@ -121,6 +121,21 @@ def test_frame_rejects_non_orthonormal_rows():
     assert f.rank == 0 and f.n == 4
 
 
+def test_frames_projections_and_psp_refuse_what_is_not_their_shape():
+    for shape in ((4,), (1, 2, 2)):
+        with pytest.raises(ValueError) as exc:
+            OrthonormalFrame(np.zeros(shape))
+        assert str(exc.value) == "expected a 2-d array of rows, got shape %s" % (shape,)
+    with pytest.raises(TypeError) as exc:
+        Projection(np.eye(2))
+    assert str(exc.value) == "Projection expects an OrthonormalFrame"
+    with pytest.raises(ValueError) as exc:
+        apply_psp(random_projection(3, 1, 1), Symmetry([1, 1]), np.ones(3))
+    assert str(exc.value) == "dimension mismatch: symmetry n=2 vs projection n=3"
+    # the empty projection has no diagonal entry to take the largest of
+    assert linalg.delta_p_numeric(random_projection(0, 0, 1)) == 0.0
+
+
 @pytest.mark.parametrize("rows", [[[1e200, 0.0]], [[1e200, 1e200], [1e200, -1e200]]])
 def test_frame_with_rows_whose_gram_overflows_is_not_orthonormal(rows):
     # the Gram matrix overflows to inf; no overflow warning comes first
